@@ -230,12 +230,12 @@ def parse_schedule(data: str | bytes) -> Schedule:
                 raise ParseError(f"duplicate 'n' header at line {lineno}", line=lineno)
             if games:
                 raise ParseError(f"'n' header after games at line {lineno}", line=lineno)
-            n = _parse_header_value(tokens, "n", lineno)
+            n = _parse_header_value(tokens, "n", lineno, minimum=2)
             continue
         if tokens[0] == "m":
             if n is None or saw_m or games:
                 raise ParseError(f"misplaced 'm' header at line {lineno}", line=lineno)
-            m = _parse_header_value(tokens, "m", lineno)
+            m = _parse_header_value(tokens, "m", lineno, minimum=1)
             saw_m = True
             continue
         if n is None:
@@ -266,13 +266,16 @@ def parse_schedule(data: str | bytes) -> Schedule:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_header_value(tokens: list[str], name: str, lineno: int) -> int:
+def _parse_header_value(tokens: list[str], name: str, lineno: int, minimum: int) -> int:
     if len(tokens) != 2:
         raise ParseError(f"malformed '{name}' header at line {lineno}", line=lineno)
     try:
         value = int(tokens[1])
     except ValueError:
         raise ParseError(f"non-integer '{name}' value at line {lineno}", line=lineno) from None
+    if value < minimum:
+        raise ParseError(f"'{name}' must be at least {minimum} at line {lineno}, got {value}",
+                         line=lineno)
     return value
 
 
@@ -302,14 +305,16 @@ def schedule_from_json(data: str | bytes) -> Schedule:
     n = doc["n"]
     m = doc.get("m", 1)
     games = doc["games"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    # type() rather than isinstance(): bool is a subclass of int, and JSON
+    # true/false are not team numbers.
+    if type(n) is not int or type(m) is not int:
         raise ParseError("fields 'n' and 'm' must be integers")
     if not isinstance(games, list):
         raise ParseError("field 'games' must be an array of [a, b] pairs")
     pairs: list[tuple[int, int]] = []
     for i, entry in enumerate(games, start=1):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(x, int) for x in entry)):
+                or type(entry[0]) is not int or type(entry[1]) is not int):
             raise ParseError(f"game {i} must be a 2-element integer array, got {entry!r}")
         pairs.append((entry[0], entry[1]))
     try:

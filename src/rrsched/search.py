@@ -12,14 +12,19 @@ schedule, and all measures are invariant under relabeling, so existence and
 emptiness answers are unaffected; counts are counts of these canonical
 labelings (schedules whose opening game introduces two teams at once still
 have interchangeable labels and are not quotiented further).
+
+One kernel, ``_walk``, serves sequential runs and every worker of a parallel
+run.  It is a recursive closure that places one game per level and undoes it
+on return; it passes the shrinking list of unused pairs down the recursion
+and keeps each team's latest position and, under ``max_gpd``, a histogram of
+games played, so each bound is an O(1) test per candidate pair.  Complete
+schedules go to an ``emit`` callback whose true return ends the walk, which
+serves mode "first" and the ``limit`` of mode "enumerate".
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 from .model import GamePair, Schedule, expected_length
 
@@ -69,82 +74,96 @@ class SearchOutcome:
     schedules: tuple[Schedule, ...] = ()
 
 
-class _State:
-    __slots__ = ("n", "total", "pairs", "used", "last", "counts", "seen",
-                 "games", "nodes", "min_rest", "max_gpd", "max_rdi", "symmetry")
+def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
+          first_pair: tuple[int, int] | None, emit) -> int:
+    """Depth-first walk over the game orders; returns the node count.
 
-    def __init__(self, n: int, constraints: SearchConstraints, symmetry: bool):
-        self.n = n
-        self.total = expected_length(n)
-        self.pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-        self.used = dict.fromkeys(self.pairs, False)
-        self.last = [0] * (n + 1)
-        self.counts = [0] * (n + 1)
-        self.seen = 0
-        self.games: list[tuple[int, int]] = []
-        self.nodes = 0
-        self.min_rest = constraints.min_rest
-        self.max_gpd = constraints.max_gpd
-        self.max_rdi = constraints.max_rdi
-        self.symmetry = symmetry
+    Each recursion level places one game, trying the unused pairs in
+    ascending order (only ``first_pair`` at the first position, when given).
+    ``emit(games, nodes)`` is called at each complete schedule with the live
+    list of placed pairs (copy it to keep it) and the node count so far; a
+    true return stops the walk.
+    """
+    total = expected_length(n)
+    rest = constraints.min_rest or 0
+    # A rest difference is below the game count, so this bound never prunes.
+    rdi = total if constraints.max_rdi is None else constraints.max_rdi
+    gpd = constraints.max_gpd
+    last = [0] * (n + 1)    # position of each team's latest game, 0 before its first
+    counts = [0] * (n + 1)  # games played per team (kept only under max_gpd)
+    hist = [0] * n          # hist[c]: teams that have played c games
+    hist[0] = n
+    games: list[tuple[int, int]] = []
+    nodes = 0
 
-
-def _extend(state: _State, depth: int,
-            forced_first: tuple[int, int] | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every completed game sequence below the current prefix."""
-    if depth > state.total:
-        yield tuple(state.games)
-        return
-    if depth == 1 and forced_first is not None:
-        candidates = [forced_first]
-    else:
-        candidates = state.pairs
-    for pair in candidates:
-        if state.used[pair]:
-            continue
-        a, b = pair
-        fresh = (state.last[a] == 0) + (state.last[b] == 0)
-        if state.symmetry and fresh:
-            # Fresh labels must be the next unused ones (a < b throughout).
-            if fresh == 2:
-                if a != state.seen + 1 or b != state.seen + 2:
+    def extend(depth, remaining, cut, cap, low, high):
+        # cut: a team whose latest game lies after this position rests less
+        #   than min_rest before the game at ``depth``.
+        # cap: the lowest unseen label under symmetry breaking (n + 1 without):
+        #   a pair may introduce cap, or cap and cap + 1, but no higher label.
+        # low, high: the fewest and most games played by any team so far.
+        nonlocal nodes
+        for i, pair in enumerate(remaining):
+            a, b = pair
+            if b > cap and (b > cap + 1 or a != cap):
+                continue
+            last_a = last[a]
+            last_b = last[b]
+            # Rests before this game differ by exactly last_b - last_a.
+            if (last_a > cut or last_b > cut
+                    or last_a - last_b > rdi or last_b - last_a > rdi):
+                continue
+            if gpd is None:
+                lo, hi = low, high
+            else:
+                count_a = counts[a]
+                count_b = counts[b]
+                hi = high + 1 if count_a == high or count_b == high else high
+                # The minimum rises only when the last teams at it leave it.
+                lo = low + 1 if hist[low] == (count_a == low) + (count_b == low) else low
+                if hi - lo > gpd:
                     continue
-            elif b != state.seen + 1:
+            if depth == 1 and first_pair is not None and pair != first_pair:
                 continue
-        rest_a = depth - state.last[a] - 1
-        rest_b = depth - state.last[b] - 1
-        if state.min_rest is not None:
-            if ((state.last[a] and rest_a < state.min_rest)
-                    or (state.last[b] and rest_b < state.min_rest)):
+            nodes += 1
+            games.append(pair)
+            if depth == total:
+                if emit(games, nodes):
+                    return True
+                games.pop()
                 continue
-        if state.max_rdi is not None and abs(rest_a - rest_b) > state.max_rdi:
-            continue
-        counts = state.counts
-        counts[a] += 1
-        counts[b] += 1
-        if state.max_gpd is not None:
-            active = counts[1:]
-            if max(active) - min(active) > state.max_gpd:
-                counts[a] -= 1
-                counts[b] -= 1
-                continue
-        state.nodes += 1
-        state.used[pair] = True
-        last_a, last_b = state.last[a], state.last[b]
-        state.last[a] = state.last[b] = depth
-        state.seen += fresh
-        state.games.append(pair)
-        yield from _extend(state, depth + 1, forced_first)
-        state.games.pop()
-        state.seen -= fresh
-        state.last[a], state.last[b] = last_a, last_b
-        state.used[pair] = False
-        counts[a] -= 1
-        counts[b] -= 1
+            if gpd is not None:
+                counts[a] = count_a + 1
+                counts[b] = count_b + 1
+                hist[count_a] -= 1
+                hist[count_a + 1] += 1
+                hist[count_b] -= 1
+                hist[count_b + 1] += 1
+            last[a] = last[b] = depth
+            child = remaining.copy()
+            del child[i]
+            if extend(depth + 1, child, depth - rest if depth > rest else 0,
+                      b + 1 if b >= cap else cap, lo, hi):
+                return True
+            last[a] = last_a
+            last[b] = last_b
+            if gpd is not None:
+                counts[a] = count_a
+                counts[b] = count_b
+                hist[count_a] += 1
+                hist[count_a + 1] -= 1
+                hist[count_b] += 1
+                hist[count_b + 1] -= 1
+            games.pop()
+        return False
+
+    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+    extend(1, pairs, 0, 1 if symmetry else n + 1, 0, 0)
+    return nodes
 
 
 def _to_schedule(n: int, games: tuple[tuple[int, int], ...]) -> Schedule:
-    # Sequences coming out of the enumerator are complete and valid by
+    # Sequences coming out of the walk are complete and valid by
     # construction; build the Schedule directly.
     return Schedule(team_count=n, multiplicity=1,
                     games=tuple(GamePair(a, b) for a, b in games))
@@ -178,27 +197,42 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     Modes: "first" returns the lexicographically first satisfying schedule
     (or None), "count" counts all of them, "enumerate" collects up to
     ``limit`` of them in lexicographic order.  Results do not depend on
-    ``jobs``; parallel runs split the tree at the first game and merge in
-    branch order.
+    ``jobs``: with ``jobs > 1`` each first-game subtree is walked in a worker
+    process and the results are merged in branch order.  Under symmetry
+    breaking (the default) the only first game is (1, 2), so such a run still
+    uses a single worker: the output is the same, but it is not faster.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
-    if jobs > 1:
-        return _search_parallel(n, constraints, mode, limit, symmetry_breaking, jobs)
+    # A walk stops after ``cap`` schedules; count mode keeps none and walks
+    # the whole tree.
+    keep = mode != "count"
+    cap = 1 if mode == "first" else limit if keep else None
+    if jobs == 1:
+        results = [_run_branch((n, constraints, symmetry_breaking, keep, cap, None))]
+    else:
+        results = _search_parallel(n, constraints, symmetry_breaking, keep, cap, jobs)
 
-    state = _State(n, constraints, symmetry_breaking)
-    gen = _extend(state, 1)
+    if not keep:
+        count = sum(found for _, _, found, _ in results)
+        nodes = sum(total for _, _, _, total in results)
+        return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
+
+    # Take the branches in order and stop where a sequential run would have.
+    collected: list[Schedule] = []
+    nodes = 0
+    for emissions, emission_nodes, _found, total in results:
+        if cap is not None and len(collected) + len(emissions) >= cap:
+            take = cap - len(collected)
+            collected.extend(_to_schedule(n, g) for g in emissions[:take])
+            nodes += emission_nodes[take - 1]
+            break
+        collected.extend(_to_schedule(n, g) for g in emissions)
+        nodes += total
     if mode == "first":
-        games = next(gen, None)
-        gen.close()
-        found = _to_schedule(n, games) if games is not None else None
-        return SearchOutcome(mode=mode, nodes_explored=state.nodes, found=found)
-    if mode == "count":
-        total = sum(1 for _ in gen)
-        return SearchOutcome(mode=mode, nodes_explored=state.nodes, count=total)
-    collected = tuple(_to_schedule(n, g) for g in itertools.islice(gen, limit))
-    gen.close()
-    return SearchOutcome(mode=mode, nodes_explored=state.nodes, schedules=collected)
+        return SearchOutcome(mode=mode, nodes_explored=nodes,
+                             found=collected[0] if collected else None)
+    return SearchOutcome(mode=mode, nodes_explored=nodes, schedules=tuple(collected))
 
 
 def _first_game_branches(n: int, symmetry_breaking: bool) -> list[tuple[int, int]]:
@@ -207,68 +241,40 @@ def _first_game_branches(n: int, symmetry_breaking: bool) -> list[tuple[int, int
     return [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
 
 
-def _run_branch(args):
-    """Worker: enumerate one first-game subtree.
+def _run_branch(task):
+    """Walk the subtree below one first game, or the whole tree for None.
 
     Returns (emissions, emission_nodes, found, total_nodes) where
-    emissions[i] was yielded when the node counter read emission_nodes[i]
-    (count mode keeps only the tally).  The caller uses the checkpoints to
-    report the same node count a sequential run would.
+    emissions[i] was emitted when the node counter read emission_nodes[i]
+    (without ``keep`` only the tally is kept).  The caller uses the
+    checkpoints to report the same node count a sequential run would.
     """
-    n, constraint_values, mode, limit, symmetry, first_pair = args
-    constraints = SearchConstraints(*constraint_values)
-    state = _State(n, constraints, symmetry)
-    gen = _extend(state, 1, forced_first=first_pair)
+    n, constraints, symmetry, keep, cap, first_pair = task
     emissions: list[tuple[tuple[int, int], ...]] = []
     emission_nodes: list[int] = []
     found = 0
-    # limit only bounds enumerate mode; count always consumes the full tree.
-    cap = 1 if mode == "first" else (limit if mode == "enumerate" else None)
-    for games in gen:
+
+    def emit(games, nodes):
+        nonlocal found
         found += 1
-        if mode != "count":
-            emissions.append(games)
-            emission_nodes.append(state.nodes)
-        if cap is not None and found >= cap:
-            gen.close()
-            break
-    return emissions, emission_nodes, found, state.nodes
+        if keep:
+            emissions.append(tuple(games))
+            emission_nodes.append(nodes)
+        return found == cap
+
+    total = _walk(n, constraints, symmetry, first_pair, emit)
+    return emissions, emission_nodes, found, total
 
 
-def _search_parallel(n, constraints, mode, limit, symmetry_breaking, jobs) -> SearchOutcome:
+def _search_parallel(n, constraints, symmetry_breaking, keep, cap, jobs) -> list:
+    # Imported here: the pool modules cost more than the rest of the package
+    # to import, and only runs with jobs > 1 need them.
+    from concurrent.futures import ProcessPoolExecutor
+
     branches = _first_game_branches(n, symmetry_breaking)
-    constraint_values = (constraints.min_rest, constraints.max_gpd, constraints.max_rdi)
-    tasks = [(n, constraint_values, mode, limit, symmetry_breaking, pair) for pair in branches]
+    tasks = [(n, constraints, symmetry_breaking, keep, cap, pair) for pair in branches]
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        results = list(pool.map(_run_branch, tasks))
-
-    if mode == "first":
-        nodes = 0
-        for emissions, emission_nodes, _found, total in results:
-            if emissions:
-                nodes += emission_nodes[0]
-                return SearchOutcome(mode=mode, nodes_explored=nodes,
-                                     found=_to_schedule(n, emissions[0]))
-            nodes += total
-        return SearchOutcome(mode=mode, nodes_explored=nodes, found=None)
-
-    if mode == "count":
-        count = sum(found for _, _, found, _ in results)
-        nodes = sum(total for _, _, _, total in results)
-        return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
-
-    collected: list[Schedule] = []
-    nodes = 0
-    for emissions, emission_nodes, _found, total in results:
-        if limit is not None and len(collected) + len(emissions) >= limit:
-            take = limit - len(collected)
-            collected.extend(_to_schedule(n, g) for g in emissions[:take])
-            nodes += emission_nodes[take - 1]
-            return SearchOutcome(mode=mode, nodes_explored=nodes,
-                                 schedules=tuple(collected))
-        collected.extend(_to_schedule(n, g) for g in emissions)
-        nodes += total
-    return SearchOutcome(mode=mode, nodes_explored=nodes, schedules=tuple(collected))
+        return list(pool.map(_run_branch, tasks))
 
 
 def canonicalize(s: Schedule) -> Schedule:

@@ -4,6 +4,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from rrsched import (
     ClaimReport,
     load_schedule,
@@ -137,6 +139,18 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", str(target))
         assert code == 2
         assert "wrong number of games" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "games": [[true, 2], [1, 3], [2, 3]]}\n',
+        "n 0\n",
+        "n 3\nm 0\n1 2\n1 3\n2 3\n",
+    ])
+    def test_rejected_input_exits_2(self, capsys, tmp_path, text):
+        target = tmp_path / "bad.txt"
+        target.write_text(text)
+        code, out, err = run(capsys, "evaluate", str(target))
+        assert code == 2
+        assert out == "" and "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "evaluate", str(tmp_path / "nope.txt"))

@@ -197,6 +197,16 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="empty game sequence"):
             parse_schedule("n 3\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("n 0\n", 1),
+        ("# x\nn -3\n1 2\n", 2),
+        ("n 3\nm 0\n1 2\n1 3\n2 3\n", 2),
+    ])
+    def test_out_of_range_header_reports_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_schedule(text)
+        assert exc.value.line == line
+
     def test_whitespace_tolerant_game_lines(self):
         s = parse_schedule("n 3\n 1  2 \n1 3\n2 3\n")
         assert s == make_schedule(3, 1, N3_GAMES)
@@ -219,6 +229,8 @@ class TestStructuredFormat:
         '{"n": 3, "games": [[1, 2], [1, 3], [2, "3"]]}',
         '{"n": "3", "games": []}',
         '{"n": 3, "games": [[1, 2], [1, 3], [1, 2]]}',
+        '{"n": 3, "games": [[true, 2], [1, 3], [2, 3]]}',
+        '{"n": 3, "m": true, "games": [[1, 2], [1, 3], [2, 3]]}',
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ParseError):

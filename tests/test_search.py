@@ -1,5 +1,7 @@
 """Search: pruned enumeration, symmetry breaking, canonicalization."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,11 @@ from rrsched.fixtures import (
 )
 
 from conftest import all_pairs
+from oracle import (
+    brute_games_played_difference_index,
+    brute_guaranteed_rest_time,
+    brute_rest_difference_index,
+)
 
 
 class TestEmptinessResults:
@@ -170,6 +177,55 @@ class TestCountsAndLimits:
                 <= count(SearchConstraints(min_rest=1)))
         assert (count(SearchConstraints(min_rest=1, max_gpd=1))
                 <= count(SearchConstraints(min_rest=1)))
+
+
+class TestExactCounts:
+    # (count, nodes_explored) with symmetry breaking on; any change to the
+    # order or the pruning of the walk moves these numbers.
+    @pytest.mark.parametrize("n, bounds, mode, limit, count, nodes, solutions", [
+        (5, dict(max_gpd=1), "count", None, 640, 1882, 640),
+        (6, dict(max_rdi=1), "count", None, 8128, 319235, 8128),
+        (6, dict(min_rest=1, max_rdi=2), "count", None, 8384, 84159, 8384),
+        (7, dict(min_rest=2), "count", None, 16, 1361, 16),
+        (8, dict(min_rest=2, max_gpd=2, max_rdi=1), "first", None, None, 2508, 0),
+        (8, dict(min_rest=2, max_gpd=1, max_rdi=2), "first", None, None, 953, 1),
+        (6, dict(min_rest=1), "enumerate", 2000, None, 23653, 2000),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pinned_counts(self, n, bounds, mode, limit, count, nodes, solutions, jobs):
+        outcome = search(n, SearchConstraints(**bounds), mode=mode, limit=limit, jobs=jobs)
+        assert (outcome.count, outcome.nodes_explored) == (count, nodes)
+        if mode == "first":
+            assert (outcome.found is not None) == solutions
+        elif mode == "enumerate":
+            assert len(outcome.schedules) == solutions
+
+
+class TestOracleCounts:
+    @pytest.fixture(scope="class")
+    def measured(self):
+        # (b, p, d) of every ordering of the six four-team games, by brute force.
+        return [
+            (brute_guaranteed_rest_time(s), brute_games_played_difference_index(s),
+             brute_rest_difference_index(s))
+            for s in (make_schedule(4, 1, games)
+                      for games in itertools.permutations(all_pairs(4)))
+        ]
+
+    @pytest.mark.parametrize("min_rest", [None, 0, 1])
+    @pytest.mark.parametrize("max_gpd", [None, 1, 2])
+    @pytest.mark.parametrize("max_rdi", [None, 1, 2])
+    def test_count_matches_oracle(self, measured, min_rest, max_gpd, max_rdi):
+        expected = sum(
+            1 for b, p, d in measured
+            if (min_rest is None or b >= min_rest)
+            and (max_gpd is None or p <= max_gpd)
+            and (max_rdi is None or d <= max_rdi)
+        )
+        outcome = search(4, SearchConstraints(min_rest, max_gpd, max_rdi), mode="count",
+                         symmetry_breaking=False)
+        assert len(measured) == 720
+        assert outcome.count == expected
 
 
 class TestParallelDeterminism:
