@@ -26,7 +26,6 @@ from .metrics import (
     rest_profile,
 )
 from .model import (
-    GamePair,
     ParseError,
     RoundStructure,
     Schedule,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CLAIM_NAMES",
     "ClaimReport",
-    "GamePair",
     "MetricsReport",
     "ParseError",
     "RoundStructure",

@@ -169,13 +169,13 @@ def _figure_fixtures(teams: int | None) -> ClaimReport:
         raise ValueError("claim 'figure-fixtures' does not take a team count")
     checks = [
         ("10-team circle, rounds 1-3",
-         fixtures.oriented_games(circle_schedule(10))[:15], fixtures.TEN_TEAM_CIRCLE_OPENING),
+         list(circle_schedule(10).games[:15]), fixtures.TEN_TEAM_CIRCLE_OPENING),
         ("11-team circle, rounds 1-3",
-         fixtures.oriented_games(circle_schedule(11))[:15], fixtures.ELEVEN_TEAM_CIRCLE_OPENING),
+         list(circle_schedule(11).games[:15]), fixtures.ELEVEN_TEAM_CIRCLE_OPENING),
         ("5-team optimal schedule",
-         fixtures.oriented_games(odd_optimal_schedule(5)), fixtures.FIVE_TEAM_OPTIMAL),
+         list(odd_optimal_schedule(5).games), fixtures.FIVE_TEAM_OPTIMAL),
         ("7-team optimal schedule",
-         fixtures.oriented_games(odd_optimal_schedule(7)), fixtures.SEVEN_TEAM_OPTIMAL),
+         list(odd_optimal_schedule(7).games), fixtures.SEVEN_TEAM_OPTIMAL),
     ]
     mismatches = [label for label, got, want in checks if got != want]
     details = ("all reference fixtures reproduced exactly" if not mismatches

@@ -6,8 +6,6 @@ Each fixture is the exact oriented game sequence for its construction; the
 
 from __future__ import annotations
 
-from .model import Schedule, make_schedule
-
 # circle_schedule(10), rounds 1-3.
 TEN_TEAM_CIRCLE_OPENING: list[tuple[int, int]] = [
     (1, 10), (2, 9), (3, 8), (4, 7), (5, 6),
@@ -73,12 +71,3 @@ SIX_TEAM_LOW_REST_DIFF_B: list[tuple[int, int]] = [
     (2, 5), (4, 6), (4, 5),
 ]
 
-
-def as_schedule(games: list[tuple[int, int]], n: int, m: int = 1) -> Schedule:
-    """Build a validated Schedule from a fixture game list."""
-    return make_schedule(n, m, games)
-
-
-def oriented_games(s: Schedule) -> list[tuple[int, int]]:
-    """Game list with stored orientation, for exact fixture comparison."""
-    return [(g.a, g.b) for g in s.games]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import GamePair, Schedule, make_schedule, round_structure
+from .model import Schedule, make_schedule, round_structure
 
 _DUMMY = 0
 
@@ -46,11 +46,11 @@ def circle_schedule(n: int) -> Schedule:
         bottom = list(range(n, cols - 1, -1))
 
     rounds = round_structure(n).r
-    games: list[GamePair] = []
+    games: list[tuple[int, int]] = []
     for round_no in range(rounds):
         for x, y in zip(top, bottom):
             if x != _DUMMY:
-                games.append(GamePair(x, y))
+                games.append((x, y))
         if round_no < rounds - 1:
             top, bottom = [top[0], bottom[0]] + top[1:-1], bottom[1:] + [top[-1]]
     return make_schedule(n, 1, games)
@@ -136,14 +136,15 @@ def odd_optimal_schedule(n: int) -> Schedule:
     """
     table = odd_slot_assignment(n)
     k = table.games_per_round
-    games: list[GamePair] = []
+    games: list[tuple[int, int]] = []
     for row in table.slots:
         by_slot: dict[int, list[int]] = {}
         for team, slot in enumerate(row, start=1):
             by_slot.setdefault(slot, []).append(team)
+        # Teams join their slot in ascending order.
         for slot in range(1, k + 1):
-            x, y = sorted(by_slot[slot])
-            games.append(GamePair(x, y))
+            x, y = by_slot[slot]
+            games.append((x, y))
     return make_schedule(n, 1, games)
 
 
@@ -162,7 +163,7 @@ def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     if s.multiplicity != 1:
         raise ValueError(f"can only duplicate a single round robin, got m={s.multiplicity}")
     g = round_structure(s.team_count).g
-    games: list[GamePair] = []
+    games: list[tuple[int, int]] = []
     for start in range(0, len(s.games), g):
         block = s.games[start:start + g]
         for _ in range(factor):

@@ -9,6 +9,14 @@ Three per-schedule numbers plus per-team diagnostics:
 * rest difference index d: the largest gap, over all games, between the two
   participants' rests since their previous games.  Debuts are anchored to a
   virtual game one position before the schedule starts, shared by all teams.
+
+:func:`evaluate` computes all of them in one pass over the games.  It keeps
+each team's latest position, which gives the team's rest before each game
+and the rest difference as the gap between the two latest positions, and a
+histogram of games played: the maximum count rises with the team that
+reaches it, and the minimum rises only when the last team at it plays, so
+the games-played spread costs O(1) per game.  The other public functions
+each read one field of :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import ParseError, Schedule
+from .model import ParseError, Schedule, _load_json
 
 
 @dataclass(frozen=True)
@@ -37,57 +45,26 @@ class MetricsReport:
     always_longer_rest_teams: frozenset[int]
 
 
-def _appearances(s: Schedule) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {t: [] for t in s.teams}
-    for idx, game in enumerate(s.games, start=1):
-        out[game.a].append(idx)
-        out[game.b].append(idx)
-    return out
-
-
 def rest_profile(s: Schedule, team: int) -> list[int]:
     """Rests between the team's consecutive games: v - u - 1 per adjacent pair."""
     if team not in s.teams:
         raise ValueError(f"team {team} out of range 1..{s.team_count}")
-    idxs = _appearances(s)[team]
-    return [v - u - 1 for u, v in zip(idxs, idxs[1:])]
+    return list(evaluate(s).rest_profiles[team])
 
 
 def guaranteed_rest_time(s: Schedule) -> int | None:
     """Minimum rest over all teams and consecutive-game pairs; None if no team plays twice."""
-    best: int | None = None
-    for idxs in _appearances(s).values():
-        for u, v in zip(idxs, idxs[1:]):
-            rest = v - u - 1
-            if best is None or rest < best:
-                best = rest
-    return best
+    return evaluate(s).guaranteed_rest_time
 
 
 def games_played_difference_index(s: Schedule) -> int:
     """Largest max-min spread of per-team game counts after any completed game."""
-    counts = [0] * (s.team_count + 1)
-    worst = 0
-    for game in s.games:
-        counts[game.a] += 1
-        counts[game.b] += 1
-        active = counts[1:]
-        worst = max(worst, max(active) - min(active))
-    return worst
-
-
-def _rest_pairs(s: Schedule):
-    """Yield (index, game, rest_a, rest_b) with debuts resting since index 0."""
-    last = [0] * (s.team_count + 1)
-    for idx, game in enumerate(s.games, start=1):
-        yield idx, game, idx - last[game.a] - 1, idx - last[game.b] - 1
-        last[game.a] = idx
-        last[game.b] = idx
+    return evaluate(s).games_played_difference_index
 
 
 def rest_difference_index(s: Schedule) -> int:
     """Largest |rest_a - rest_b| over all games."""
-    return max(abs(ra - rb) for _, _, ra, rb in _rest_pairs(s))
+    return evaluate(s).rest_difference_index
 
 
 def always_longer_rest_teams(s: Schedule) -> set[int]:
@@ -97,32 +74,63 @@ def always_longer_rest_teams(s: Schedule) -> set[int]:
     not qualify; the comparison uses the same debut convention as the rest
     difference index.
     """
-    seen = [False] * (s.team_count + 1)
-    candidate = [True] * (s.team_count + 1)
-    post_first = [False] * (s.team_count + 1)
-    for _, game, ra, rb in _rest_pairs(s):
-        for team, mine, theirs in ((game.a, ra, rb), (game.b, rb, ra)):
-            if seen[team]:
-                post_first[team] = True
-                if mine <= theirs:
-                    candidate[team] = False
-            seen[team] = True
-    return {t for t in s.teams if candidate[t] and post_first[t]}
+    return set(evaluate(s).always_longer_rest_teams)
 
 
 def evaluate(s: Schedule) -> MetricsReport:
-    """Compute every measure for the schedule."""
-    profiles = {t: tuple(v - u - 1 for u, v in zip(idxs, idxs[1:]))
-                for t, idxs in _appearances(s).items()}
-    rests = [rest for profile in profiles.values() for rest in profile]
+    """Compute every measure for the schedule in one pass over its games."""
+    n = s.team_count
+    last = [0] * (n + 1)  # position of each team's latest game; 0 is the virtual debut game
+    profiles: list[list[int]] = [[] for _ in range(n + 1)]
+    # outrested[t]: in some game after its first, t rested no longer than its opponent.
+    outrested = [False] * (n + 1)
+    counts = [0] * (n + 1)
+    hist = [0] * (s.multiplicity * (n - 1) + 2)  # hist[c]: teams that have played c games
+    hist[0] = n
+    low = high = spread = rdi = 0
+    for idx, (a, b) in enumerate(s.games, start=1):
+        last_a = last[a]
+        last_b = last[b]
+        # Rests before this game are idx - last - 1, so they differ by last_a - last_b.
+        if last_a:
+            profiles[a].append(idx - last_a - 1)
+            if last_b <= last_a:
+                outrested[a] = True
+        if last_b:
+            profiles[b].append(idx - last_b - 1)
+            if last_a <= last_b:
+                outrested[b] = True
+        gap = last_a - last_b if last_a > last_b else last_b - last_a
+        if gap > rdi:
+            rdi = gap
+        last[a] = last[b] = idx
+
+        count_a = counts[a]
+        count_b = counts[b]
+        counts[a] = count_a + 1
+        counts[b] = count_b + 1
+        hist[count_a] -= 1
+        hist[count_a + 1] += 1
+        hist[count_b] -= 1
+        hist[count_b + 1] += 1
+        if count_a == high or count_b == high:
+            high += 1
+        # Counts rise by one per game, so the minimum rises only when its last team leaves it.
+        if not hist[low]:
+            low += 1
+        if high - low > spread:
+            spread = high - low
+
+    rests = [min(profile) for profile in profiles if profile]
     return MetricsReport(
-        team_count=s.team_count,
+        team_count=n,
         multiplicity=s.multiplicity,
         guaranteed_rest_time=min(rests) if rests else None,
-        games_played_difference_index=games_played_difference_index(s),
-        rest_difference_index=rest_difference_index(s),
-        rest_profiles=profiles,
-        always_longer_rest_teams=frozenset(always_longer_rest_teams(s)),
+        games_played_difference_index=spread,
+        rest_difference_index=rdi,
+        rest_profiles={t: tuple(profiles[t]) for t in s.teams},
+        always_longer_rest_teams=frozenset(
+            t for t in s.teams if profiles[t] and not outrested[t]),
     )
 
 
@@ -143,10 +151,7 @@ def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
 def report_from_json(data: str | bytes) -> MetricsReport:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(data)
     try:
         return MetricsReport(
             team_count=doc["n"],

@@ -4,15 +4,18 @@ An asynchronous round-robin schedule is a total order on games: game i is the
 i-th game played, and no two games overlap.  Teams are 1-based integers; a
 schedule for ``n`` teams with multiplicity ``m`` contains every unordered pair
 of distinct teams exactly ``m`` times.
+
+A game is a plain ``(a, b)`` tuple of ints in its stored orientation, which
+serialization keeps.  Validation counts ``(a, b)`` and ``(b, a)`` as the same
+pair, but tuple and :class:`Schedule` equality are orientation-exact: two
+schedules that differ only in the orientation of a game are not equal.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-GameLike = Union["GamePair", tuple]
+from typing import Sequence
 
 
 class ScheduleValidationError(ValueError):
@@ -36,44 +39,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class GamePair:
-    """An unordered pair of distinct teams.
-
-    The stored (a, b) orientation is preserved for serialization, but equality
-    and hashing treat {a, b} and {b, a} as the same game.
-    """
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ScheduleValidationError(f"self-pair ({self.a}, {self.a})")
-
-    def __eq__(self, other):
-        if not isinstance(other, GamePair):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def key(self) -> tuple[int, int]:
-        """Orientation-free identity: (min, max)."""
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
-    def involves(self, team: int) -> bool:
-        return team == self.a or team == self.b
-
-    def opponent_of(self, team: int) -> int:
-        if team == self.a:
-            return self.b
-        if team == self.b:
-            return self.a
-        raise ValueError(f"team {team} does not play in game ({self.a}, {self.b})")
-
-
-@dataclass(frozen=True)
 class Schedule:
     """A validated total order on the games of an m-fold round robin.
 
@@ -83,7 +48,7 @@ class Schedule:
 
     team_count: int
     multiplicity: int
-    games: tuple[GamePair, ...]
+    games: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.games)
@@ -139,11 +104,13 @@ def slot_of(index: int, n: int, multiplicity: int = 1) -> int:
     return (index - 1) % g + 1
 
 
-def make_schedule(n: int, m: int, games: Sequence[GameLike]) -> Schedule:
-    """Validate a game sequence and return the Schedule.
+def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
+    """Validate a sequence of ``(a, b)`` games and return the Schedule.
 
     Rejects wrong length, out-of-range teams, self-pairs, and pair
     multiplicity other than ``m``; the error names the first offending game.
+    ``(a, b)`` and ``(b, a)`` count as the same pair.  Games are stored as
+    tuples in the given orientation.
     """
     if n < 2:
         raise ValueError(f"need at least 2 teams, got {n}")
@@ -158,30 +125,26 @@ def make_schedule(n: int, m: int, games: Sequence[GameLike]) -> Schedule:
             f"wrong number of games: expected {want} for n={n}, m={m}, got {len(games)}"
         )
 
-    normalized: list[GamePair] = []
+    normalized: list[tuple[int, int]] = []
     counts: dict[tuple[int, int], int] = {}
-    for idx, game in enumerate(games, start=1):
-        if isinstance(game, GamePair):
-            a, b = game.a, game.b
-        else:
-            a, b = game
+    for idx, (a, b) in enumerate(games, start=1):
         if a == b:
             raise ScheduleValidationError(f"self-pair ({a}, {b}) at game {idx}", index=idx)
-        for team in (a, b):
-            if not 1 <= team <= n:
-                raise ScheduleValidationError(
-                    f"team {team} out of range 1..{n} at game {idx}", index=idx
-                )
-        pair = GamePair(a, b)
-        key = pair.key()
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] > m:
+        if not (1 <= a <= n and 1 <= b <= n):
+            team = b if 1 <= a <= n else a
+            raise ScheduleValidationError(
+                f"team {team} out of range 1..{n} at game {idx}", index=idx
+            )
+        key = (a, b) if a < b else (b, a)
+        count = counts.get(key, 0) + 1
+        if count > m:
             missing = _first_missing_pair(n, counts, m)
             extra = f"; pair {missing} never occurs" if missing else ""
             raise ScheduleValidationError(
                 f"pair {key} occurs more than {m} time(s) at game {idx}{extra}", index=idx
             )
-        normalized.append(pair)
+        counts[key] = count
+        normalized.append((a, b))
 
     # Length and per-pair caps together force every pair to appear exactly m times.
     return Schedule(team_count=n, multiplicity=m, games=tuple(normalized))
@@ -200,14 +163,15 @@ def serialize_schedule(s: Schedule) -> str:
     lines = [f"n {s.team_count}"]
     if s.multiplicity != 1:
         lines.append(f"m {s.multiplicity}")
-    lines.extend(f"{g.a} {g.b}" for g in s.games)
+    lines.extend(f"{a} {b}" for a, b in s.games)
     return "\n".join(lines) + "\n"
 
 
 def parse_schedule(data: str | bytes) -> Schedule:
     """Parse the text form; inverse of :func:`serialize_schedule`.
 
-    Comment lines start with ``#`` and blank lines are ignored.  Raises
+    Comment lines start with ``#`` and blank lines are ignored.  Teams and
+    header values are unsigned ASCII decimal integers.  Raises
     :class:`ParseError` with the 1-based line number on malformed input, and
     maps schedule-validation failures back to the offending game line.
     """
@@ -220,11 +184,10 @@ def parse_schedule(data: str | bytes) -> Schedule:
     games: list[tuple[int, int]] = []
     game_lines: list[int] = []
 
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(data.splitlines(), start=1):
         tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
         if tokens[0] == "n":
             if n is not None:
                 raise ParseError(f"duplicate 'n' header at line {lineno}", line=lineno)
@@ -244,12 +207,14 @@ def parse_schedule(data: str | bytes) -> Schedule:
             )
         if len(tokens) != 2:
             raise ParseError(
-                f"expected two team numbers at line {lineno}, got {line!r}", line=lineno
+                f"expected two team numbers at line {lineno}, got {line.strip()!r}", line=lineno
             )
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer team at line {lineno}: {line!r}", line=lineno) from None
+        a, b = tokens
+        # int() alone would also read "1_0" as 10 and non-ASCII digits.
+        if not (a.isdigit() and b.isdigit() and line.isascii()):
+            raise ParseError(f"non-integer team at line {lineno}: {line.strip()!r}",
+                             line=lineno)
+        a, b = int(a), int(b)
         if a == b:
             raise ParseError(f"self-pair at line {lineno}: team {a} against itself", line=lineno)
         games.append((a, b))
@@ -269,14 +234,11 @@ def parse_schedule(data: str | bytes) -> Schedule:
 def _parse_header_value(tokens: list[str], name: str, lineno: int, minimum: int) -> int:
     if len(tokens) != 2:
         raise ParseError(f"malformed '{name}' header at line {lineno}", line=lineno)
-    try:
-        value = int(tokens[1])
-    except ValueError:
-        raise ParseError(f"non-integer '{name}' value at line {lineno}", line=lineno) from None
-    if value < minimum:
-        raise ParseError(f"'{name}' must be at least {minimum} at line {lineno}, got {value}",
-                         line=lineno)
-    return value
+    value = tokens[1]
+    if not (value.isdigit() and value.isascii()) or int(value) < minimum:
+        raise ParseError(f"'{name}' must be a decimal integer of at least {minimum} "
+                         f"at line {lineno}, got {value!r}", line=lineno)
+    return int(value)
 
 
 def schedule_to_json(s: Schedule, indent: int | None = None) -> str:
@@ -284,19 +246,27 @@ def schedule_to_json(s: Schedule, indent: int | None = None) -> str:
     doc = {
         "n": s.team_count,
         "m": s.multiplicity,
-        "games": [[g.a, g.b] for g in s.games],
+        "games": s.games,
     }
     return json.dumps(doc, indent=indent) + "\n"
+
+
+def _load_json(text: str):
+    """``json.loads`` with every decoding failure raised as :class:`ParseError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        # The decoder recurses once per nesting level.
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def schedule_from_json(data: str | bytes) -> Schedule:
     """Parse the structured form; inverse of :func:`schedule_to_json`."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(data)
     if not isinstance(doc, dict):
         raise ParseError("structured schedule must be a JSON object")
     for field in ("n", "games"):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import GamePair, Schedule, expected_length
+from .model import Schedule, expected_length
 
 DEFAULT_TEAM_CEILING = 8
 # Unconstrained runs visit every ordering of the n(n-1)/2 games: 15! already
@@ -165,8 +165,7 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
 def _to_schedule(n: int, games: tuple[tuple[int, int], ...]) -> Schedule:
     # Sequences coming out of the walk are complete and valid by
     # construction; build the Schedule directly.
-    return Schedule(team_count=n, multiplicity=1,
-                    games=tuple(GamePair(a, b) for a, b in games))
+    return Schedule(team_count=n, multiplicity=1, games=games)
 
 
 def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
@@ -197,10 +196,11 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     Modes: "first" returns the lexicographically first satisfying schedule
     (or None), "count" counts all of them, "enumerate" collects up to
     ``limit`` of them in lexicographic order.  Results do not depend on
-    ``jobs``: with ``jobs > 1`` each first-game subtree is walked in a worker
-    process and the results are merged in branch order.  Under symmetry
-    breaking (the default) the only first game is (1, 2), so such a run still
-    uses a single worker: the output is the same, but it is not faster.
+    ``jobs``: with ``jobs > 1`` and symmetry breaking off, each first-game
+    subtree is walked in a worker process and the results are merged in
+    branch order.  Under symmetry breaking (the default) the only first game
+    is (1, 2), so there is nothing to split: the walk runs in this process
+    whatever ``jobs`` is, and no worker process is started.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
@@ -208,10 +208,10 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     # the whole tree.
     keep = mode != "count"
     cap = 1 if mode == "first" else limit if keep else None
-    if jobs == 1:
-        results = [_run_branch((n, constraints, symmetry_breaking, keep, cap, None))]
+    if jobs > 1 and not symmetry_breaking:
+        results = _search_parallel(n, constraints, keep, cap, jobs)
     else:
-        results = _search_parallel(n, constraints, symmetry_breaking, keep, cap, jobs)
+        results = [_run_branch((n, constraints, symmetry_breaking, keep, cap, None))]
 
     if not keep:
         count = sum(found for _, _, found, _ in results)
@@ -233,12 +233,6 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
         return SearchOutcome(mode=mode, nodes_explored=nodes,
                              found=collected[0] if collected else None)
     return SearchOutcome(mode=mode, nodes_explored=nodes, schedules=tuple(collected))
-
-
-def _first_game_branches(n: int, symmetry_breaking: bool) -> list[tuple[int, int]]:
-    if symmetry_breaking:
-        return [(1, 2)]
-    return [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
 
 
 def _run_branch(task):
@@ -266,13 +260,14 @@ def _run_branch(task):
     return emissions, emission_nodes, found, total
 
 
-def _search_parallel(n, constraints, symmetry_breaking, keep, cap, jobs) -> list:
+def _search_parallel(n, constraints, keep, cap, jobs) -> list:
+    """Walk each first-game subtree of the unbroken search in a worker process."""
     # Imported here: the pool modules cost more than the rest of the package
     # to import, and only runs with jobs > 1 need them.
     from concurrent.futures import ProcessPoolExecutor
 
-    branches = _first_game_branches(n, symmetry_breaking)
-    tasks = [(n, constraints, symmetry_breaking, keep, cap, pair) for pair in branches]
+    tasks = [(n, constraints, False, keep, cap, (a, b))
+             for a in range(1, n) for b in range(a + 1, n + 1)]
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_run_branch, tasks))
 
@@ -282,13 +277,16 @@ def canonicalize(s: Schedule) -> Schedule:
 
     The first-listed team of the first game becomes 1, its opponent 2, the
     next unseen team 3, and so on; a game that introduces two unseen teams
-    takes the next two labels and is emitted ascending.  Idempotent.
+    takes the next two labels.  Every relabeled game is emitted in ascending
+    order, as the enumerator emits them, since schedule equality depends on
+    orientation.  Idempotent.
     """
     mapping: dict[int, int] = {}
     games = []
-    for game in s.games:
-        for team in (game.a, game.b):
+    for a, b in s.games:
+        for team in (a, b):
             if team not in mapping:
                 mapping[team] = len(mapping) + 1
-        games.append(GamePair(mapping[game.a], mapping[game.b]))
+        x, y = mapping[a], mapping[b]
+        games.append((x, y) if x < y else (y, x))
     return Schedule(team_count=s.team_count, multiplicity=s.multiplicity, games=tuple(games))

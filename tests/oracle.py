@@ -11,7 +11,7 @@ from rrsched import Schedule
 
 
 def _games(s: Schedule) -> list[tuple[int, int]]:
-    return [(g.a, g.b) for g in s.games]
+    return [(a, b) for a, b in s.games]
 
 
 def brute_guaranteed_rest_time(s: Schedule) -> int | None:

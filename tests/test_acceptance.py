@@ -16,6 +16,7 @@ from rrsched import (
     circle_schedule,
     duplicate_rounds,
     evaluate,
+    make_schedule,
     odd_optimal_schedule,
     search,
 )
@@ -28,7 +29,6 @@ from rrsched.fixtures import (
     SIX_TEAM_LOW_REST_DIFF_A,
     SIX_TEAM_LOW_REST_DIFF_B,
     TEN_TEAM_CIRCLE_OPENING,
-    as_schedule,
 )
 
 from conftest import random_schedule
@@ -148,8 +148,8 @@ def test_criterion_07_five_team_max_rest_consequences(capsys):
 
 def test_criterion_08_six_team_reference_metrics(capsys):
     start = time.perf_counter()
-    ok = _triple(as_schedule(SIX_TEAM_LOW_REST_DIFF_A, 6)) == (1, 2, 1)
-    ok &= _triple(as_schedule(SIX_TEAM_LOW_REST_DIFF_B, 6)) == (0, 3, 1)
+    ok = _triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)) == (1, 2, 1)
+    ok &= _triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == (0, 3, 1)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _report(8, "six-team reference schedules measure (1, 2, 1) and (0, 3, 1)",
@@ -229,8 +229,8 @@ def test_criterion_10_oracle_equivalence(capsys):
 
 def test_criterion_11_seven_team_references_distinct(capsys):
     start = time.perf_counter()
-    first = canonicalize(as_schedule(SEVEN_TEAM_OPTIMAL, 7))
-    second = canonicalize(as_schedule(SEVEN_TEAM_OPTIMAL_ALTERNATE, 7))
+    first = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL))
+    second = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE))
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _report(11, "the two seven-team reference schedules are not relabelings "

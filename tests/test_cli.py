@@ -9,6 +9,7 @@ import pytest
 from rrsched import (
     ClaimReport,
     load_schedule,
+    make_schedule,
     odd_optimal_schedule,
     report_from_json,
     schedule_from_json,
@@ -19,7 +20,6 @@ from rrsched.fixtures import (
     SEVEN_TEAM_OPTIMAL_ALTERNATE,
     SIX_TEAM_LOW_REST_DIFF_A,
     TEN_TEAM_CIRCLE_OPENING,
-    as_schedule,
 )
 
 FIVE_TEAM_TEXT = "n 5\n1 2\n3 4\n1 5\n2 3\n4 5\n1 3\n2 4\n3 5\n1 4\n2 5\n"
@@ -115,7 +115,7 @@ class TestEvaluate:
         assert code == 0
 
     def test_six_team_reference_schedule_table(self, capsys, monkeypatch):
-        text = serialize_schedule(as_schedule(SIX_TEAM_LOW_REST_DIFF_A, 6))
+        text = serialize_schedule(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A))
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         code, out, _ = run(capsys, "evaluate")
         assert code == 0
@@ -125,7 +125,7 @@ class TestEvaluate:
 
     def test_seven_team_alternate_reference_report(self, capsys, tmp_path):
         target = tmp_path / "alt.txt"
-        target.write_text(serialize_schedule(as_schedule(SEVEN_TEAM_OPTIMAL_ALTERNATE, 7)))
+        target.write_text(serialize_schedule(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE)))
         code, out, _ = run(capsys, "evaluate", str(target), "--format", "structured")
         assert code == 0
         report = report_from_json(out)
@@ -144,10 +144,13 @@ class TestEvaluate:
         '{"n": 3, "games": [[true, 2], [1, 3], [2, 3]]}\n',
         "n 0\n",
         "n 3\nm 0\n1 2\n1 3\n2 3\n",
+        "n 3\n1 2\n1 3\n2 0_3\n",
+        "n \u0663\n1 2\n1 3\n2 3\n",
+        '{"n": ' + "[" * 200_000 + "]" * 200_000 + "}\n",
     ])
     def test_rejected_input_exits_2(self, capsys, tmp_path, text):
         target = tmp_path / "bad.txt"
-        target.write_text(text)
+        target.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "evaluate", str(target))
         assert code == 2
         assert out == "" and "Traceback" not in err

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsched import (
+    ParseError,
     always_longer_rest_teams,
     circle_schedule,
     duplicate_rounds,
@@ -21,7 +22,6 @@ from rrsched import (
 from rrsched.fixtures import (
     SIX_TEAM_LOW_REST_DIFF_A,
     SIX_TEAM_LOW_REST_DIFF_B,
-    as_schedule,
 )
 
 from conftest import all_pairs, random_schedule
@@ -68,7 +68,7 @@ class TestGamesPlayedDifferenceIndex:
         assert games_played_difference_index(circle_schedule(11)) == 2
 
     def test_low_rest_diff_fixture_b(self):
-        assert games_played_difference_index(as_schedule(SIX_TEAM_LOW_REST_DIFF_B, 6)) == 3
+        assert games_played_difference_index(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == 3
 
     def test_single_game(self):
         assert games_played_difference_index(circle_schedule(2)) == 0
@@ -125,10 +125,10 @@ class TestEvaluate:
         assert triple(circle_schedule(6)) == (1, 1, 2)
 
     def test_low_rest_diff_fixture_a(self):
-        assert triple(as_schedule(SIX_TEAM_LOW_REST_DIFF_A, 6)) == (1, 2, 1)
+        assert triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)) == (1, 2, 1)
 
     def test_low_rest_diff_fixture_b(self):
-        assert triple(as_schedule(SIX_TEAM_LOW_REST_DIFF_B, 6)) == (0, 3, 1)
+        assert triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == (0, 3, 1)
 
     def test_rest_time_equals_min_of_profiles(self):
         report = evaluate(circle_schedule(9))
@@ -138,6 +138,11 @@ class TestEvaluate:
     def test_report_json_round_trip(self):
         report = evaluate(odd_optimal_schedule(5))
         assert report_from_json(report_to_json(report)) == report
+
+    def test_report_deep_nesting_is_a_parse_error(self):
+        depth = 200_000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            report_from_json('{"n": ' + "[" * depth + "]" * depth + "}")
 
     def test_report_json_round_trip_undefined_rest(self):
         report = evaluate(circle_schedule(2))
@@ -190,7 +195,7 @@ class TestProperties:
     def test_relabeling_invariance(self, case):
         s, mapping = case
         relabeled = make_schedule(
-            s.team_count, 1, [(mapping[g.a], mapping[g.b]) for g in s.games])
+            s.team_count, 1, [(mapping[a], mapping[b]) for a, b in s.games])
         assert triple(relabeled) == triple(s)
         assert always_longer_rest_teams(relabeled) == {
             mapping[t] for t in always_longer_rest_teams(s)}
@@ -214,8 +219,27 @@ class TestOracleAgreement:
             assert rest_difference_index(s) == brute_rest_difference_index(s)
             assert always_longer_rest_teams(s) == brute_always_longer_rest_teams(s)
 
+    def test_production_matches_brute_force_triple_round_robin(self, rng):
+        # Game counts reach m(n - 1), so the games-played histogram runs deeper at m = 3.
+        for _ in range(60):
+            s = random_schedule(rng, rng.randint(3, 8), 3)
+            assert guaranteed_rest_time(s) == brute_guaranteed_rest_time(s)
+            assert games_played_difference_index(s) == brute_games_played_difference_index(s)
+            assert rest_difference_index(s) == brute_rest_difference_index(s)
+            assert always_longer_rest_teams(s) == brute_always_longer_rest_teams(s)
+
+    def test_rest_profiles_are_appearance_gaps(self, rng):
+        for _ in range(100):
+            s = random_schedule(rng, rng.randint(2, 9), rng.randint(1, 3))
+            profiles = evaluate(s).rest_profiles
+            assert sorted(profiles) == list(s.teams)
+            for team in s.teams:
+                positions = [i for i, game in enumerate(s.games) if team in game]
+                assert list(profiles[team]) == [v - u - 1 for u, v in
+                                                zip(positions, positions[1:])]
+
     def test_oracle_agrees_on_fixture_values(self):
-        s = as_schedule(SIX_TEAM_LOW_REST_DIFF_A, 6)
+        s = make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)
         assert (brute_guaranteed_rest_time(s),
                 brute_games_played_difference_index(s),
                 brute_rest_difference_index(s)) == (1, 2, 1)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsched import (
-    GamePair,
     ParseError,
     ScheduleValidationError,
+    canonicalize,
     load_schedule,
     make_schedule,
     parse_schedule,
@@ -25,22 +25,36 @@ from conftest import all_pairs
 N3_GAMES = [(1, 2), (1, 3), (2, 3)]
 
 
-class TestGamePair:
-    def test_equality_ignores_orientation(self):
-        assert GamePair(1, 2) == GamePair(2, 1)
-        assert hash(GamePair(1, 2)) == hash(GamePair(2, 1))
-        assert GamePair(1, 2) != GamePair(1, 3)
+class TestTupleModel:
+    def test_reversed_pair_counts_as_repeat(self):
+        with pytest.raises(ScheduleValidationError) as exc:
+            make_schedule(3, 1, [(1, 2), (2, 1), (1, 3)])
+        assert exc.value.index == 2
+        assert "(1, 2)" in str(exc.value)
 
-    def test_self_pair_rejected(self):
-        with pytest.raises(ScheduleValidationError):
-            GamePair(3, 3)
+    def test_self_pair_rejected_with_index(self):
+        with pytest.raises(ScheduleValidationError, match=r"self-pair \(3, 3\)") as exc:
+            make_schedule(3, 1, [(1, 2), (1, 3), (3, 3)])
+        assert exc.value.index == 3
 
-    def test_opponent_of(self):
-        game = GamePair(4, 2)
-        assert game.opponent_of(4) == 2
-        assert game.opponent_of(2) == 4
-        with pytest.raises(ValueError):
-            game.opponent_of(1)
+    def test_orientation_survives_construction_and_round_trips(self):
+        games = [(2, 1), (1, 3), (3, 2)]
+        s = make_schedule(3, 1, games)
+        assert s.games == tuple(games)
+        assert parse_schedule(serialize_schedule(s)).games == s.games
+        assert schedule_from_json(schedule_to_json(s)).games == s.games
+        assert s != make_schedule(3, 1, N3_GAMES)  # equality is orientation-exact
+
+    @given(st.integers(min_value=3, max_value=6), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_canonicalize_emits_ascending_pairs(self, n, data):
+        games = data.draw(st.permutations(all_pairs(n)))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(games), max_size=len(games)))
+        s = make_schedule(n, 1, [(b, a) if flip else (a, b)
+                                 for (a, b), flip in zip(games, flips)])
+        once = canonicalize(s)
+        assert all(a < b for a, b in once.games)
+        assert canonicalize(once) == once
 
 
 class TestMakeSchedule:
@@ -82,9 +96,10 @@ class TestMakeSchedule:
         with pytest.raises(ScheduleValidationError):
             make_schedule(3, 1, [])
 
-    def test_accepts_gamepair_objects(self):
-        s = make_schedule(3, 1, [GamePair(a, b) for a, b in N3_GAMES])
-        assert [(g.a, g.b) for g in s.games] == N3_GAMES
+    def test_stores_games_as_tuples(self):
+        s = make_schedule(3, 1, [[a, b] for a, b in N3_GAMES])
+        assert s.games == tuple(N3_GAMES)
+        assert all(type(g) is tuple for g in s.games)
 
     def test_multiplicity_two(self):
         s = make_schedule(3, 2, N3_GAMES + N3_GAMES)
@@ -207,6 +222,18 @@ class TestTextFormat:
             parse_schedule(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        ("n 3\n1 2\n1 3\n2 0_3\n", 4),
+        ("n 3\n1 2\n1 3\n2 \u0663\n", 4),
+        ("n \u0663\n1 2\n1 3\n2 3\n", 1),
+        ("n 3\nm \uff12\n1 2\n1 3\n2 3\n2 1\n3 1\n3 2\n", 2),
+    ])
+    def test_only_ascii_decimal_integers(self, text, line):
+        # int() would read "0_3" and the Arabic-Indic and full-width digits as numbers.
+        with pytest.raises(ParseError) as exc:
+            parse_schedule(text)
+        assert exc.value.line == line
+
     def test_whitespace_tolerant_game_lines(self):
         s = parse_schedule("n 3\n 1  2 \n1 3\n2 3\n")
         assert s == make_schedule(3, 1, N3_GAMES)
@@ -236,6 +263,11 @@ class TestStructuredFormat:
         with pytest.raises(ParseError):
             schedule_from_json(doc)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        depth = 200_000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            schedule_from_json('{"n": ' + "[" * depth + "]" * depth + "}")
+
     def test_load_schedule_sniffs_format(self):
         s = make_schedule(3, 1, N3_GAMES)
         assert load_schedule(schedule_to_json(s)) == s
@@ -259,7 +291,7 @@ class TestProperties:
     def test_text_round_trip(self, s):
         parsed = parse_schedule(serialize_schedule(s))
         assert parsed == s
-        assert [(g.a, g.b) for g in parsed.games] == [(g.a, g.b) for g in s.games]
+        assert parsed.games == s.games
 
     @given(schedules())
     @settings(max_examples=60, deadline=None)
@@ -270,5 +302,5 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_each_team_appears_m_times_n_minus_1(self, s):
         for team in s.teams:
-            appearances = sum(1 for g in s.games if g.involves(team))
+            appearances = sum(1 for g in s.games if team in g)
             assert appearances == s.multiplicity * (s.team_count - 1)

@@ -19,7 +19,6 @@ from rrsched.fixtures import (
     SEVEN_TEAM_OPTIMAL_ALTERNATE,
     SIX_TEAM_LOW_REST_DIFF_A,
     SIX_TEAM_LOW_REST_DIFF_B,
-    as_schedule,
 )
 
 from conftest import all_pairs
@@ -65,12 +64,12 @@ class TestExistenceResults:
 
     def test_five_team_reference_is_enumerated(self):
         outcome = search(5, SearchConstraints(min_rest=1), mode="enumerate")
-        assert as_schedule(FIVE_TEAM_OPTIMAL, 5) in outcome.schedules
+        assert make_schedule(5, 1, FIVE_TEAM_OPTIMAL) in outcome.schedules
 
     def test_seven_team_references_are_enumerated(self):
         outcome = search(7, SearchConstraints(min_rest=2), mode="enumerate")
-        assert as_schedule(SEVEN_TEAM_OPTIMAL, 7) in outcome.schedules
-        assert as_schedule(SEVEN_TEAM_OPTIMAL_ALTERNATE, 7) in outcome.schedules
+        assert make_schedule(7, 1, SEVEN_TEAM_OPTIMAL) in outcome.schedules
+        assert make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE) in outcome.schedules
 
     def test_six_team_unit_rest_difference_enumeration(self):
         # All canonical six-team schedules with rest difference 1, including
@@ -79,8 +78,8 @@ class TestExistenceResults:
         # impossibility result).
         outcome = search(6, SearchConstraints(max_rdi=1), mode="enumerate")
         schedules = outcome.schedules
-        assert as_schedule(SIX_TEAM_LOW_REST_DIFF_A, 6) in schedules
-        assert as_schedule(SIX_TEAM_LOW_REST_DIFF_B, 6) in schedules
+        assert make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A) in schedules
+        assert make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B) in schedules
         for s in schedules:
             report = evaluate(s)
             assert not (report.guaranteed_rest_time >= 1
@@ -107,13 +106,13 @@ class TestEmittedSchedules:
 
     def test_emission_order_is_lexicographic(self):
         outcome = search(5, SearchConstraints(min_rest=1), mode="enumerate")
-        keys = [tuple(g.key() for g in s.games) for s in outcome.schedules]
+        keys = [s.games for s in outcome.schedules]
         assert keys == sorted(keys)
 
     def test_all_emitted_are_valid_schedules(self):
         outcome = search(4, SearchConstraints(max_rdi=2), mode="enumerate")
         for s in outcome.schedules:
-            rebuilt = make_schedule(s.team_count, 1, [(g.a, g.b) for g in s.games])
+            rebuilt = make_schedule(s.team_count, 1, list(s.games))
             assert rebuilt == s
 
     def test_first_labels_appear_in_order_under_symmetry_breaking(self):
@@ -121,7 +120,7 @@ class TestEmittedSchedules:
         for s in outcome.schedules:
             seen: list[int] = []
             for g in s.games:
-                for t in (g.a, g.b):
+                for t in g:
                     if t not in seen:
                         seen.append(t)
             assert seen == sorted(seen)
@@ -235,6 +234,18 @@ class TestParallelDeterminism:
         assert par.schedules == seq.schedules
         assert par.nodes_explored == seq.nodes_explored
 
+    def test_single_branch_runs_without_a_process_pool(self, monkeypatch):
+        # Under symmetry breaking every schedule opens with (1, 2): nothing to split.
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        seq = search(5, SearchConstraints(min_rest=1), mode="enumerate")
+        par = search(5, SearchConstraints(min_rest=1), mode="enumerate", jobs=2)
+        assert par == seq
+
     def test_count_identical_across_jobs_without_symmetry(self):
         seq = search(4, mode="count", symmetry_breaking=False)
         par = search(4, mode="count", symmetry_breaking=False, jobs=3)
@@ -292,18 +303,18 @@ class TestArgumentValidation:
 
 class TestCanonicalize:
     def test_already_canonical_unchanged(self):
-        s = as_schedule(FIVE_TEAM_OPTIMAL, 5)
+        s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
         assert canonicalize(s) == s
 
     def test_relabeling_inverse(self):
         swapped = make_schedule(5, 1, [
             (5 if a == 1 else 1 if a == 5 else a, 5 if b == 1 else 1 if b == 5 else b)
             for a, b in FIVE_TEAM_OPTIMAL])
-        assert canonicalize(swapped) == as_schedule(FIVE_TEAM_OPTIMAL, 5)
+        assert canonicalize(swapped) == make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
 
     def test_seven_team_references_are_distinct(self):
-        first = canonicalize(as_schedule(SEVEN_TEAM_OPTIMAL, 7))
-        second = canonicalize(as_schedule(SEVEN_TEAM_OPTIMAL_ALTERNATE, 7))
+        first = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL))
+        second = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE))
         assert first != second
 
     @given(st.integers(min_value=3, max_value=6), st.data())
