@@ -17,31 +17,6 @@ from .metrics import evaluate
 from .model import Schedule
 from .search import SearchConstraints, search
 
-CLAIM_NAMES = (
-    "even-rest-bound",
-    "even-circle-metrics",
-    "even-impossibility",
-    "odd-rest-bound",
-    "odd-circle-metrics",
-    "odd-optimal-metrics",
-    "odd-rdi-lemma",
-    "always-win",
-    "figure-fixtures",
-    "duplication-preserves",
-)
-
-# Smallest team count each parameterized claim applies to.
-_DEFAULT_TEAMS = {
-    "even-rest-bound": 4,
-    "even-circle-metrics": 4,
-    "even-impossibility": 6,
-    "odd-rest-bound": 3,
-    "odd-circle-metrics": 5,
-    "odd-optimal-metrics": 3,
-    "odd-rdi-lemma": 3,
-    "always-win": 3,
-}
-
 
 @dataclass(frozen=True)
 class ClaimReport:
@@ -59,18 +34,18 @@ def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:
     Raises ValueError for unknown claims and for team counts of the wrong
     parity or below the claim's minimum.
     """
-    if claim not in CLAIM_NAMES:
+    if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known claims: {', '.join(CLAIM_NAMES)}")
-    if claim in ("figure-fixtures", "duplication-preserves"):
-        return _FIXED_CLAIMS[claim](teams)
-    n = teams if teams is not None else _DEFAULT_TEAMS[claim]
-    parity = 0 if claim.startswith("even") else 1
+    check, parity, smallest = _CLAIMS[claim]
+    if parity is None:
+        return check(claim, teams)
+    n = smallest if teams is None else teams
     if n % 2 != parity:
-        raise ValueError(f"claim {claim!r} needs an {'even' if parity == 0 else 'odd'} "
+        raise ValueError(f"claim {claim!r} needs an {('even', 'odd')[parity]} "
                          f"team count, got {n}")
-    if n < _DEFAULT_TEAMS[claim]:
-        raise ValueError(f"claim {claim!r} needs at least {_DEFAULT_TEAMS[claim]} teams, got {n}")
-    return _PARAMETERIZED_CLAIMS[claim](n)
+    if n < smallest:
+        raise ValueError(f"claim {claim!r} needs at least {smallest} teams, got {n}")
+    return check(claim, n)
 
 
 def _metric_triple(report) -> tuple[int | None, int, int]:
@@ -90,24 +65,24 @@ def _empty_search_claim(claim: str, n: int, constraints: SearchConstraints,
                        nodes_explored=outcome.nodes_explored, witness=outcome.found)
 
 
-def _even_rest_bound(n: int) -> ClaimReport:
+def _even_rest_bound(claim: str, n: int) -> ClaimReport:
     k = n // 2
     return _empty_search_claim(
-        "even-rest-bound", n, SearchConstraints(min_rest=k - 1),
+        claim, n, SearchConstraints(min_rest=k - 1),
         f"with rest time >= {k - 1} (claimed maximum is {k - 2})")
 
 
-def _odd_rest_bound(n: int) -> ClaimReport:
+def _odd_rest_bound(claim: str, n: int) -> ClaimReport:
     k = (n - 1) // 2
     return _empty_search_claim(
-        "odd-rest-bound", n, SearchConstraints(min_rest=k),
+        claim, n, SearchConstraints(min_rest=k),
         f"with rest time >= {k} (claimed maximum is {k - 1})")
 
 
-def _even_impossibility(n: int) -> ClaimReport:
+def _even_impossibility(claim: str, n: int) -> ClaimReport:
     k = n // 2
     return _empty_search_claim(
-        "even-impossibility", n,
+        claim, n,
         SearchConstraints(min_rest=k - 2, max_gpd=1, max_rdi=1),
         f"with rest time {k - 2} and both difference indices 1")
 
@@ -119,54 +94,47 @@ def _expected_metrics_claim(claim: str, n: int, s: Schedule,
                        details=f"expected (b, p, d) = {expected}, got {got}")
 
 
-def _even_circle_metrics(n: int) -> ClaimReport:
+def _even_circle_metrics(claim: str, n: int) -> ClaimReport:
     k = n // 2
     expected = (k - 2, 1, 1 if n == 4 else 2)
-    return _expected_metrics_claim("even-circle-metrics", n, circle_schedule(n), expected)
+    return _expected_metrics_claim(claim, n, circle_schedule(n), expected)
 
 
-def _odd_circle_metrics(n: int) -> ClaimReport:
+def _odd_circle_metrics(claim: str, n: int) -> ClaimReport:
     k = (n - 1) // 2
-    return _expected_metrics_claim("odd-circle-metrics", n, circle_schedule(n),
-                                   (k - 2, 2, k + 1))
+    return _expected_metrics_claim(claim, n, circle_schedule(n), (k - 2, 2, k + 1))
 
 
-def _odd_optimal_metrics(n: int) -> ClaimReport:
+def _odd_optimal_metrics(claim: str, n: int) -> ClaimReport:
     k = (n - 1) // 2
-    return _expected_metrics_claim("odd-optimal-metrics", n, odd_optimal_schedule(n),
-                                   (k - 1, 1, 1))
+    return _expected_metrics_claim(claim, n, odd_optimal_schedule(n), (k - 1, 1, 1))
 
 
-def _enumerate_max_rest(n: int):
+def _max_rest_claim(claim: str, n: int, holds, failing: str) -> ClaimReport:
+    """Enumerate every canonical odd-``n`` schedule of rest time k-1 and test ``holds``."""
     k = (n - 1) // 2
-    return k, search(n, SearchConstraints(min_rest=k - 1), mode="enumerate")
-
-
-def _odd_rdi_lemma(n: int) -> ClaimReport:
-    k, outcome = _enumerate_max_rest(n)
-    bad = [s for s in outcome.schedules if evaluate(s).rest_difference_index != 1]
-    passed = bool(outcome.schedules) and not bad
+    outcome = search(n, SearchConstraints(min_rest=k - 1), mode="enumerate")
+    bad = [s for s in outcome.schedules if not holds(evaluate(s))]
     details = (f"{len(outcome.schedules)} canonical schedule(s) with rest time {k - 1}; "
-               f"{len(bad)} with rest difference index != 1")
-    return ClaimReport(claim="odd-rdi-lemma", teams=n, passed=passed, details=details,
-                       nodes_explored=outcome.nodes_explored,
+               f"{len(bad)} {failing}")
+    return ClaimReport(claim=claim, teams=n, passed=bool(outcome.schedules) and not bad,
+                       details=details, nodes_explored=outcome.nodes_explored,
                        witness=bad[0] if bad else None)
 
 
-def _always_win(n: int) -> ClaimReport:
-    k, outcome = _enumerate_max_rest(n)
-    bad = [s for s in outcome.schedules if not evaluate(s).always_longer_rest_teams]
-    passed = bool(outcome.schedules) and not bad
-    details = (f"{len(outcome.schedules)} canonical schedule(s) with rest time {k - 1}; "
-               f"{len(bad)} without an always-better-rested team")
-    return ClaimReport(claim="always-win", teams=n, passed=passed, details=details,
-                       nodes_explored=outcome.nodes_explored,
-                       witness=bad[0] if bad else None)
+def _odd_rdi_lemma(claim: str, n: int) -> ClaimReport:
+    return _max_rest_claim(claim, n, lambda r: r.rest_difference_index == 1,
+                           "with rest difference index != 1")
 
 
-def _figure_fixtures(teams: int | None) -> ClaimReport:
+def _always_win(claim: str, n: int) -> ClaimReport:
+    return _max_rest_claim(claim, n, lambda r: bool(r.always_longer_rest_teams),
+                           "without an always-better-rested team")
+
+
+def _figure_fixtures(claim: str, teams: int | None) -> ClaimReport:
     if teams is not None:
-        raise ValueError("claim 'figure-fixtures' does not take a team count")
+        raise ValueError(f"claim {claim!r} does not take a team count")
     checks = [
         ("10-team circle, rounds 1-3",
          list(circle_schedule(10).games[:15]), fixtures.TEN_TEAM_CIRCLE_OPENING),
@@ -180,11 +148,11 @@ def _figure_fixtures(teams: int | None) -> ClaimReport:
     mismatches = [label for label, got, want in checks if got != want]
     details = ("all reference fixtures reproduced exactly" if not mismatches
                else f"mismatch in: {', '.join(mismatches)}")
-    return ClaimReport(claim="figure-fixtures", teams=None, passed=not mismatches,
+    return ClaimReport(claim=claim, teams=None, passed=not mismatches,
                        details=details)
 
 
-def _duplication_preserves(teams: int | None) -> ClaimReport:
+def _duplication_preserves(claim: str, teams: int | None) -> ClaimReport:
     # Duplication preserves the guaranteed rest time of the generated
     # schedules (no team plays twice within a round block in either family).
     # The two difference indices are additionally preserved when every team
@@ -222,22 +190,25 @@ def _duplication_preserves(teams: int | None) -> ClaimReport:
         if any(not every_round for _, every_round in cases):
             details += ("; byes stretch under duplication, so rest difference is "
                         "not preserved with odd team counts and is not asserted")
-    return ClaimReport(claim="duplication-preserves", teams=teams, passed=not failures,
+    return ClaimReport(claim=claim, teams=teams, passed=not failures,
                        details=details)
 
 
-_PARAMETERIZED_CLAIMS = {
-    "even-rest-bound": _even_rest_bound,
-    "even-circle-metrics": _even_circle_metrics,
-    "even-impossibility": _even_impossibility,
-    "odd-rest-bound": _odd_rest_bound,
-    "odd-circle-metrics": _odd_circle_metrics,
-    "odd-optimal-metrics": _odd_optimal_metrics,
-    "odd-rdi-lemma": _odd_rdi_lemma,
-    "always-win": _always_win,
+# name: (check, parity of the team count (0 even, 1 odd), smallest team count).
+# A check is called as check(name, n), with n defaulting to the smallest
+# count.  A parity of None means the check takes the raw ``teams`` argument,
+# None included, and validates it itself.
+_CLAIMS = {
+    "even-rest-bound": (_even_rest_bound, 0, 4),
+    "even-circle-metrics": (_even_circle_metrics, 0, 4),
+    "even-impossibility": (_even_impossibility, 0, 6),
+    "odd-rest-bound": (_odd_rest_bound, 1, 3),
+    "odd-circle-metrics": (_odd_circle_metrics, 1, 5),
+    "odd-optimal-metrics": (_odd_optimal_metrics, 1, 3),
+    "odd-rdi-lemma": (_odd_rdi_lemma, 1, 3),
+    "always-win": (_always_win, 1, 3),
+    "figure-fixtures": (_figure_fixtures, None, None),
+    "duplication-preserves": (_duplication_preserves, None, None),
 }
 
-_FIXED_CLAIMS = {
-    "figure-fixtures": _figure_fixtures,
-    "duplication-preserves": _duplication_preserves,
-}
+CLAIM_NAMES = tuple(_CLAIMS)

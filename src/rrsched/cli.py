@@ -20,6 +20,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+_GENERATORS = {"circle": circle_schedule, "odd-optimal": odd_optimal_schedule}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -30,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="construct a schedule")
     gen.add_argument("--teams", type=int, required=True, help="number of teams")
-    gen.add_argument("--method", choices=("circle", "odd-optimal"), required=True,
+    gen.add_argument("--method", choices=tuple(_GENERATORS), required=True,
                      help="construction to use")
     gen.add_argument("--multiplicity", type=int, default=1,
                      help="repeat each round this many times (default 1)")
@@ -80,19 +82,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.multiplicity < 1:
-        print(f"error: --multiplicity must be >= 1, got {args.multiplicity}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        if args.method == "circle":
-            schedule = circle_schedule(args.teams)
-        else:
-            if args.teams % 2 == 0:
-                print(f"error: --method odd-optimal needs an odd team count, got {args.teams}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            schedule = odd_optimal_schedule(args.teams)
-        if args.multiplicity > 1:
+        schedule = _GENERATORS[args.method](args.teams)
+        if args.multiplicity != 1:
             schedule = duplicate_rounds(schedule, args.multiplicity)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

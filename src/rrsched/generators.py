@@ -34,8 +34,7 @@ def circle_schedule(n: int) -> Schedule:
     below it; the dummy's opponent sits out the round and the remaining
     columns are read left to right as before.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 teams, got {n}")
+    rounds = round_structure(n).r
     if n % 2 == 0:
         cols = n // 2
         top = list(range(1, cols + 1))
@@ -45,7 +44,6 @@ def circle_schedule(n: int) -> Schedule:
         top = [_DUMMY] + list(range(1, cols))
         bottom = list(range(n, cols - 1, -1))
 
-    rounds = round_structure(n).r
     games: list[tuple[int, int]] = []
     for round_no in range(rounds):
         for x, y in zip(top, bottom):

@@ -149,8 +149,6 @@ def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
 
 
 def report_from_json(data: str | bytes) -> MetricsReport:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     doc = _load_json(data)
     try:
         return MetricsReport(

@@ -14,6 +14,7 @@ schedules that differ only in the orientation of a game are not equal.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,11 +108,20 @@ def slot_of(index: int, n: int, multiplicity: int = 1) -> int:
 def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
     """Validate a sequence of ``(a, b)`` games and return the Schedule.
 
-    Rejects wrong length, out-of-range teams, self-pairs, and pair
-    multiplicity other than ``m``; the error names the first offending game.
-    ``(a, b)`` and ``(b, a)`` count as the same pair.  Games are stored as
-    tuples in the given orientation.
+    The text and JSON parsers and the generators all meet this one check.
+    ``n`` and ``m`` must be ints with n >= 2 and m >= 1, else ``ValueError``.
+    :class:`ScheduleValidationError` reports a wrong game count (no index), or
+    by 1-based ``index`` the first game that is not two ``int`` teams
+    (``bool``, ``float`` and ``str`` are rejected), is a self-pair, has a team
+    outside 1..n, or repeats a pair more than ``m`` times.  ``(a, b)`` and
+    ``(b, a)`` count as the same pair; games are stored as tuples in the given
+    orientation.
     """
+    # type() rather than isinstance(): bool is a subclass of int, and True
+    # is not a team number.
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"n and m must be integers, got {type(n).__name__} "
+                         f"and {type(m).__name__}")
     if n < 2:
         raise ValueError(f"need at least 2 teams, got {n}")
     if m < 1:
@@ -125,9 +135,20 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
             f"wrong number of games: expected {want} for n={n}, m={m}, got {len(games)}"
         )
 
+    # Pair (a, b) with a < b is counted at a * (n + 1) + b.  Allocated only
+    # now: the length check bounds it by the size of the input.
+    stride = n + 1
+    counts = [0] * (n * stride)
     normalized: list[tuple[int, int]] = []
-    counts: dict[tuple[int, int], int] = {}
-    for idx, (a, b) in enumerate(games, start=1):
+    for idx, game in enumerate(games, start=1):
+        try:
+            a, b = game
+        except (TypeError, ValueError):
+            a = b = None
+        if type(a) is not int or type(b) is not int:
+            raise ScheduleValidationError(
+                f"game {idx} must be a pair of integer teams, got {reprlib.repr(game)}",
+                index=idx)
         if a == b:
             raise ScheduleValidationError(f"self-pair ({a}, {b}) at game {idx}", index=idx)
         if not (1 <= a <= n and 1 <= b <= n):
@@ -135,14 +156,14 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
             raise ScheduleValidationError(
                 f"team {team} out of range 1..{n} at game {idx}", index=idx
             )
-        key = (a, b) if a < b else (b, a)
-        count = counts.get(key, 0) + 1
+        key = a * stride + b if a < b else b * stride + a
+        count = counts[key] + 1
         if count > m:
             missing = _first_missing_pair(n, counts, m)
             extra = f"; pair {missing} never occurs" if missing else ""
             raise ScheduleValidationError(
-                f"pair {key} occurs more than {m} time(s) at game {idx}{extra}", index=idx
-            )
+                f"pair {(min(a, b), max(a, b))} occurs more than {m} time(s) "
+                f"at game {idx}{extra}", index=idx)
         counts[key] = count
         normalized.append((a, b))
 
@@ -150,10 +171,10 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
     return Schedule(team_count=n, multiplicity=m, games=tuple(normalized))
 
 
-def _first_missing_pair(n: int, counts: dict, m: int) -> tuple[int, int] | None:
+def _first_missing_pair(n: int, counts: list[int], m: int) -> tuple[int, int] | None:
     for a in range(1, n):
         for b in range(a + 1, n + 1):
-            if counts.get((a, b), 0) < m:
+            if counts[a * (n + 1) + b] < m:
                 return (a, b)
     return None
 
@@ -175,8 +196,7 @@ def parse_schedule(data: str | bytes) -> Schedule:
     :class:`ParseError` with the 1-based line number on malformed input, and
     maps schedule-validation failures back to the offending game line.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = _decode(data)
 
     n: int | None = None
     m = 1
@@ -214,10 +234,10 @@ def parse_schedule(data: str | bytes) -> Schedule:
         if not (a.isdigit() and b.isdigit() and line.isascii()):
             raise ParseError(f"non-integer team at line {lineno}: {line.strip()!r}",
                              line=lineno)
-        a, b = int(a), int(b)
-        if a == b:
-            raise ParseError(f"self-pair at line {lineno}: team {a} against itself", line=lineno)
-        games.append((a, b))
+        try:
+            games.append((int(a), int(b)))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"team number too long at line {lineno}", line=lineno) from None
         game_lines.append(lineno)
 
     if n is None:
@@ -235,10 +255,14 @@ def _parse_header_value(tokens: list[str], name: str, lineno: int, minimum: int)
     if len(tokens) != 2:
         raise ParseError(f"malformed '{name}' header at line {lineno}", line=lineno)
     value = tokens[1]
-    if not (value.isdigit() and value.isascii()) or int(value) < minimum:
+    try:
+        number = int(value) if value.isdigit() and value.isascii() else -1
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        number = -1
+    if number < minimum:
         raise ParseError(f"'{name}' must be a decimal integer of at least {minimum} "
                          f"at line {lineno}, got {value!r}", line=lineno)
-    return int(value)
+    return number
 
 
 def schedule_to_json(s: Schedule, indent: int | None = None) -> str:
@@ -251,11 +275,24 @@ def schedule_to_json(s: Schedule, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent) + "\n"
 
 
-def _load_json(text: str):
+def _decode(data: str | bytes) -> str:
+    """UTF-8 text of ``data``; undecodable bytes raise :class:`ParseError` with their line."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"invalid UTF-8 at line {line}: {exc.reason}", line=line) from None
+
+
+def _load_json(data: str | bytes):
     """``json.loads`` with every decoding failure raised as :class:`ParseError`."""
+    text = _decode(data)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past sys.get_int_max_str_digits().
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         # The decoder recurses once per nesting level.
@@ -263,39 +300,28 @@ def _load_json(text: str):
 
 
 def schedule_from_json(data: str | bytes) -> Schedule:
-    """Parse the structured form; inverse of :func:`schedule_to_json`."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Parse the structured form; inverse of :func:`schedule_to_json`.
+
+    Every type and range check on ``n``, ``m`` and the games is
+    :func:`make_schedule`'s; its errors are raised as :class:`ParseError`.
+    """
     doc = _load_json(data)
     if not isinstance(doc, dict):
         raise ParseError("structured schedule must be a JSON object")
     for field in ("n", "games"):
         if field not in doc:
             raise ParseError(f"structured schedule missing field {field!r}")
-    n = doc["n"]
-    m = doc.get("m", 1)
-    games = doc["games"]
-    # type() rather than isinstance(): bool is a subclass of int, and JSON
-    # true/false are not team numbers.
-    if type(n) is not int or type(m) is not int:
-        raise ParseError("fields 'n' and 'm' must be integers")
-    if not isinstance(games, list):
+    if not isinstance(doc["games"], list):
         raise ParseError("field 'games' must be an array of [a, b] pairs")
-    pairs: list[tuple[int, int]] = []
-    for i, entry in enumerate(games, start=1):
-        if (not isinstance(entry, list) or len(entry) != 2
-                or type(entry[0]) is not int or type(entry[1]) is not int):
-            raise ParseError(f"game {i} must be a 2-element integer array, got {entry!r}")
-        pairs.append((entry[0], entry[1]))
     try:
-        return make_schedule(n, m, pairs)
-    except (ScheduleValidationError, ValueError) as exc:
+        return make_schedule(doc["n"], doc.get("m", 1), doc["games"])
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def load_schedule(data: str | bytes) -> Schedule:
     """Parse either accepted format, sniffing JSON by a leading ``{``."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(data)
     if text.lstrip().startswith("{"):
         return schedule_from_json(text)
     return parse_schedule(text)

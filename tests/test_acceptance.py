@@ -25,9 +25,6 @@ from rrsched.fixtures import (
     ELEVEN_TEAM_CIRCLE_OPENING,
     FIVE_TEAM_OPTIMAL,
     SEVEN_TEAM_OPTIMAL,
-    SEVEN_TEAM_OPTIMAL_ALTERNATE,
-    SIX_TEAM_LOW_REST_DIFF_A,
-    SIX_TEAM_LOW_REST_DIFF_B,
     TEN_TEAM_CIRCLE_OPENING,
 )
 
@@ -37,6 +34,11 @@ from oracle import (
     brute_games_played_difference_index,
     brute_guaranteed_rest_time,
     brute_rest_difference_index,
+)
+from reference import (
+    SEVEN_TEAM_OPTIMAL_ALTERNATE,
+    SIX_TEAM_LOW_REST_DIFF_A,
+    SIX_TEAM_LOW_REST_DIFF_B,
 )
 
 

@@ -16,11 +16,9 @@ from rrsched import (
     serialize_schedule,
 )
 from rrsched.cli import main
-from rrsched.fixtures import (
-    SEVEN_TEAM_OPTIMAL_ALTERNATE,
-    SIX_TEAM_LOW_REST_DIFF_A,
-    TEN_TEAM_CIRCLE_OPENING,
-)
+from rrsched.fixtures import TEN_TEAM_CIRCLE_OPENING
+
+from reference import SEVEN_TEAM_OPTIMAL_ALTERNATE, SIX_TEAM_LOW_REST_DIFF_A
 
 FIVE_TEAM_TEXT = "n 5\n1 2\n3 4\n1 5\n2 3\n4 5\n1 3\n2 4\n3 5\n1 4\n2 5\n"
 
@@ -147,10 +145,11 @@ class TestEvaluate:
         "n 3\n1 2\n1 3\n2 0_3\n",
         "n \u0663\n1 2\n1 3\n2 3\n",
         '{"n": ' + "[" * 200_000 + "]" * 200_000 + "}\n",
+        b"n 3\n1 2\n1 3\n2 \xff\n",
     ])
     def test_rejected_input_exits_2(self, capsys, tmp_path, text):
         target = tmp_path / "bad.txt"
-        target.write_text(text, encoding="utf-8")
+        target.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         code, out, err = run(capsys, "evaluate", str(target))
         assert code == 2
         assert out == "" and "Traceback" not in err

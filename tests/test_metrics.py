@@ -19,10 +19,6 @@ from rrsched import (
     rest_difference_index,
     rest_profile,
 )
-from rrsched.fixtures import (
-    SIX_TEAM_LOW_REST_DIFF_A,
-    SIX_TEAM_LOW_REST_DIFF_B,
-)
 
 from conftest import all_pairs, random_schedule
 from oracle import (
@@ -31,6 +27,7 @@ from oracle import (
     brute_guaranteed_rest_time,
     brute_rest_difference_index,
 )
+from reference import SIX_TEAM_LOW_REST_DIFF_A, SIX_TEAM_LOW_REST_DIFF_B
 
 N3 = make_schedule(3, 1, [(1, 2), (1, 3), (2, 3)])
 
@@ -143,6 +140,12 @@ class TestEvaluate:
         depth = 200_000
         with pytest.raises(ParseError, match="nested too deeply"):
             report_from_json('{"n": ' + "[" * depth + "]" * depth + "}")
+
+    def test_report_non_utf8_is_a_parse_error(self):
+        data = report_to_json(evaluate(odd_optimal_schedule(5)), indent=2).encode()
+        with pytest.raises(ParseError, match="invalid UTF-8") as exc:
+            report_from_json(data.replace(b'"m"', b'"\xff"'))
+        assert exc.value.line == 3
 
     def test_report_json_round_trip_undefined_rest(self):
         report = evaluate(circle_schedule(2))

@@ -1,5 +1,7 @@
 """Model layer: validation, round arithmetic, text and structured I/O."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,17 @@ class TestMakeSchedule:
             make_schedule(3, 0, N3_GAMES)
         with pytest.raises(ScheduleValidationError):
             make_schedule(3, 1, [])
+
+    @pytest.mark.parametrize("game", [(True, 2), (1.0, 2), ("1", 2), None, (1, 2, 3)])
+    def test_rejects_games_that_are_not_two_int_teams(self, game):
+        with pytest.raises(ScheduleValidationError, match="pair of integer teams") as exc:
+            make_schedule(3, 1, [(1, 2), game, (2, 3)])
+        assert exc.value.index == 2
+
+    @pytest.mark.parametrize("n, m", [(True, 1), (3.0, 1), ("3", 1), (3, True), (3, None)])
+    def test_rejects_non_int_n_and_m(self, n, m):
+        with pytest.raises(ValueError, match="must be integers"):
+            make_schedule(n, m, N3_GAMES)
 
     def test_stores_games_as_tuples(self):
         s = make_schedule(3, 1, [[a, b] for a, b in N3_GAMES])
@@ -234,6 +247,30 @@ class TestTextFormat:
             parse_schedule(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("data, line", [
+        (b"n 3\n1 2\n1 3\n2 \xff\n", 4),
+        (b"\xfen 3\n", 1),
+        (b"n 3\r\n1 2\r\n1 \xc3\r\n", 3),
+    ])
+    def test_non_utf8_is_a_parse_error_naming_the_line(self, data, line):
+        for parse in (parse_schedule, load_schedule):
+            with pytest.raises(ParseError, match="invalid UTF-8") as exc:
+                parse(data)
+            assert exc.value.line == line
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit in this interpreter")
+    def test_overlong_numbers_are_parse_errors(self):
+        # int() raises ValueError past sys.get_int_max_str_digits() digits.
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        for text, line in [(f"n 3\n1 2\n1 3\n2 {digits}\n", 4), (f"n {digits}\n", 1),
+                           (f"n 3\nm {digits}\n", 2)]:
+            with pytest.raises(ParseError) as exc:
+                parse_schedule(text)
+            assert exc.value.line == line
+        with pytest.raises(ParseError, match="invalid JSON"):
+            schedule_from_json('{"n": ' + digits + ', "games": [[1, 2]]}')
+
     def test_whitespace_tolerant_game_lines(self):
         s = parse_schedule("n 3\n 1  2 \n1 3\n2 3\n")
         assert s == make_schedule(3, 1, N3_GAMES)
@@ -258,6 +295,11 @@ class TestStructuredFormat:
         '{"n": 3, "games": [[1, 2], [1, 3], [1, 2]]}',
         '{"n": 3, "games": [[true, 2], [1, 3], [2, 3]]}',
         '{"n": 3, "m": true, "games": [[1, 2], [1, 3], [2, 3]]}',
+        '{"n": 3, "games": [[1, 2], [1, 3], [2, 3.0]]}',
+        '{"n": 3.0, "games": [[1, 2], [1, 3], [2, 3]]}',
+        '{"n": 3, "games": [[1, 2], [1, 3], null]}',
+        '{"n": 3, "games": [[1, 2], [1, 3], "23"]}',
+        b'{"n": 3, "games": [[1, 2], [1, 3], [2, 3]], "\xff": 0}',
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ParseError):

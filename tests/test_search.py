@@ -13,19 +13,18 @@ from rrsched import (
     make_schedule,
     search,
 )
-from rrsched.fixtures import (
-    FIVE_TEAM_OPTIMAL,
-    SEVEN_TEAM_OPTIMAL,
-    SEVEN_TEAM_OPTIMAL_ALTERNATE,
-    SIX_TEAM_LOW_REST_DIFF_A,
-    SIX_TEAM_LOW_REST_DIFF_B,
-)
+from rrsched.fixtures import FIVE_TEAM_OPTIMAL, SEVEN_TEAM_OPTIMAL
 
 from conftest import all_pairs
 from oracle import (
     brute_games_played_difference_index,
     brute_guaranteed_rest_time,
     brute_rest_difference_index,
+)
+from reference import (
+    SEVEN_TEAM_OPTIMAL_ALTERNATE,
+    SIX_TEAM_LOW_REST_DIFF_A,
+    SIX_TEAM_LOW_REST_DIFF_B,
 )
 
 
