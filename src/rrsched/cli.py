@@ -11,7 +11,12 @@ import argparse
 import sys
 
 from .claims import CLAIM_NAMES, verify_claim
-from .generators import circle_schedule, duplicate_rounds, odd_optimal_schedule
+from .generators import (
+    check_duplication_factor,
+    circle_schedule,
+    duplicate_rounds,
+    odd_optimal_schedule,
+)
 from .metrics import MetricsReport, evaluate, report_to_json
 from .model import ParseError, Schedule, load_schedule, schedule_to_json, serialize_schedule
 from .search import SearchConstraints, search
@@ -60,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--no-symmetry-breaking", action="store_true",
                     help="enumerate raw labelings instead of canonical ones")
     se.add_argument("--jobs", type=int, default=1,
-                    help="worker processes; output is identical for any value")
+                    help="worker processes, at most the CPU count; output is identical "
+                         "for any value")
     se.add_argument("--allow-large", action="store_true",
                     help="permit team counts and unconstrained runs the tool would refuse")
 
@@ -83,6 +89,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_generate(args) -> int:
     try:
+        # Checked first: a bad factor should not wait for a large schedule.
+        check_duplication_factor(args.multiplicity)
         schedule = _GENERATORS[args.method](args.teams)
         if args.multiplicity != 1:
             schedule = duplicate_rounds(schedule, args.multiplicity)

@@ -146,6 +146,12 @@ def odd_optimal_schedule(n: int) -> Schedule:
     return make_schedule(n, 1, games)
 
 
+def check_duplication_factor(factor: int) -> None:
+    """Raise ``ValueError`` unless :func:`duplicate_rounds` accepts ``factor``."""
+    if factor < 1:
+        raise ValueError(f"duplication factor must be >= 1, got {factor}")
+
+
 def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     """Repeat each round block ``factor`` times, giving multiplicity ``factor``.
 
@@ -156,8 +162,7 @@ def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     unchanged as well.  Byes stretch with the factor, so odd-team schedules
     come out with a larger rest difference index than they started with.
     """
-    if factor < 1:
-        raise ValueError(f"duplication factor must be >= 1, got {factor}")
+    check_duplication_factor(factor)
     if s.multiplicity != 1:
         raise ValueError(f"can only duplicate a single round robin, got m={s.multiplicity}")
     g = round_structure(s.team_count).g

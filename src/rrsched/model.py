@@ -204,7 +204,7 @@ def parse_schedule(data: str | bytes) -> Schedule:
     games: list[tuple[int, int]] = []
     game_lines: list[int] = []
 
-    for lineno, line in enumerate(data.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(data), start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -282,8 +282,16 @@ def _decode(data: str | bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # The bytes before the bad one decode, so their lines can be counted.
+        line = len(_lines(data[:exc.start].decode("utf-8")))
         raise ParseError(f"invalid UTF-8 at line {line}: {exc.reason}", line=line) from None
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` cut at "\\n", "\\r\\n" and a lone "\\r" only, as a text-mode file
+    reads it; ``str.splitlines`` also cuts at form feed, "\\x85", "\\u2028" and
+    other separators, which editors do not count as line breaks."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _load_json(data: str | bytes):

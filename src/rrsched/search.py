@@ -20,11 +20,23 @@ and keeps each team's latest position and, under ``max_gpd``, a histogram of
 games played, so each bound is an O(1) test per candidate pair.  Complete
 schedules go to an ``emit`` callback whose true return ends the walk, which
 serves mode "first" and the ``limit`` of mode "enumerate".
+
+A run with ``jobs > 1`` walks in this process until it has spent a node
+budget; a run that ends sooner starts no process.  Past the budget the walk
+records each subtree it would have entered next as a task, a prefix of
+games, in walk order.  The shallowest tasks are split until every worker
+has several, the tasks run in a process pool, and their results are merged
+in walk order, so the outcome and ``nodes_explored`` equal those of one
+walk.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 from .model import Schedule, expected_length
 
@@ -34,6 +46,15 @@ DEFAULT_TEAM_CEILING = 8
 _UNCONSTRAINED_REFUSAL = 6
 
 MODES = ("first", "count", "enumerate")
+
+# Nodes a run with jobs > 1 walks in this process before it starts a process
+# pool: about 35 ms of walking, near twice what starting a two-worker pool
+# takes on Linux, so a run that ends sooner never waits for a pool.
+_SPLIT_BUDGET = 30_000
+# Subtrees per worker to split the rest of the tree into.
+_TASKS_PER_WORKER = 16
+# Subtrees per worker handed to the pool before the merge reaches them.
+_AHEAD_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -75,14 +96,20 @@ class SearchOutcome:
 
 
 def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
-          first_pair: tuple[int, int] | None, emit) -> int:
-    """Depth-first walk over the game orders; returns the node count.
+          prefix: tuple[tuple[int, int], ...], emit, budget: int | None = None,
+          tasks: list | None = None) -> int:
+    """Depth-first walk below the forced ``prefix``; returns the node count.
 
     Each recursion level places one game, trying the unused pairs in
-    ascending order (only ``first_pair`` at the first position, when given).
-    ``emit(games, nodes)`` is called at each complete schedule with the live
-    list of placed pairs (copy it to keep it) and the node count so far; a
-    true return stops the walk.
+    ascending order.  The first ``len(prefix)`` levels place only the games
+    of ``prefix``, and of those only the last counts as a node, so the node
+    counts of the walks below the children of a node add up, with that
+    node, to the count of the walk below it.  ``emit(games, nodes)`` is
+    called at each complete schedule with the live list of placed pairs
+    (copy it to keep it) and the node count so far; a true return stops the
+    walk.  Once ``budget`` nodes are counted the walk places no more games:
+    it appends each later candidate that passes every test to ``tasks``, as
+    the tuple of games that ends with it, in walk order.
     """
     total = expected_length(n)
     rest = constraints.min_rest or 0
@@ -94,7 +121,27 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
     hist = [0] * n          # hist[c]: teams that have played c games
     hist[0] = n
     games: list[tuple[int, int]] = []
-    nodes = 0
+    forced = len(prefix)
+    nodes = 1 - forced if forced else 0
+    spent = -1 if budget is None else budget
+    # A candidate that passes every test takes the slow path when the node
+    # count equals ``trip``: at each level of the prefix, then from ``spent``
+    # on.  No count equals -1, so without a budget a walk below the prefix
+    # never takes it.
+    trip = nodes if forced else spent
+
+    def divert(depth, pair):
+        # Whether to pass over a candidate met at the trip count.  Below the
+        # prefix the budget is spent, so the candidate becomes a task; within
+        # the prefix only the prefix's own game is placed.
+        nonlocal trip
+        if depth > forced:
+            tasks.append((*games, pair))
+            return True
+        if pair != prefix[depth - 1]:
+            return True
+        trip = nodes + 1 if depth < forced else spent
+        return False
 
     def extend(depth, remaining, cut, cap, low, high):
         # cut: a team whose latest game lies after this position rests less
@@ -123,7 +170,7 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
                 lo = low + 1 if hist[low] == (count_a == low) + (count_b == low) else low
                 if hi - lo > gpd:
                     continue
-            if depth == 1 and first_pair is not None and pair != first_pair:
+            if nodes == trip and divert(depth, pair):
                 continue
             nodes += 1
             games.append(pair)
@@ -157,7 +204,12 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
             games.pop()
         return False
 
-    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+    # The prefix games go last, in reverse, so that each is the last pair at
+    # its level: no sibling follows it, and below the prefix the unused pairs
+    # are in ascending order again.
+    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
+             if (a, b) not in prefix]
+    pairs.extend(reversed(prefix))
     extend(1, pairs, 0, 1 if symmetry else n + 1, 0, 0)
     return nodes
 
@@ -195,12 +247,12 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 
     Modes: "first" returns the lexicographically first satisfying schedule
     (or None), "count" counts all of them, "enumerate" collects up to
-    ``limit`` of them in lexicographic order.  Results do not depend on
-    ``jobs``: with ``jobs > 1`` and symmetry breaking off, each first-game
-    subtree is walked in a worker process and the results are merged in
-    branch order.  Under symmetry breaking (the default) the only first game
-    is (1, 2), so there is nothing to split: the walk runs in this process
-    whatever ``jobs`` is, and no worker process is started.
+    ``limit`` of them in lexicographic order.  Results, ``nodes_explored``
+    included, do not depend on ``jobs``.  With ``jobs > 1`` the walk starts
+    in this process; a run that ends within a fixed node budget starts no
+    worker process.  Otherwise the subtrees left unwalked go to a pool of at
+    most ``min(jobs, os.cpu_count())`` worker processes, and their results
+    are merged in walk order.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
@@ -208,42 +260,52 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     # the whole tree.
     keep = mode != "count"
     cap = 1 if mode == "first" else limit if keep else None
-    if jobs > 1 and not symmetry_breaking:
-        results = _search_parallel(n, constraints, keep, cap, jobs)
+    walk = (n, constraints, symmetry_breaking, keep, cap)
+    collected: list[tuple[tuple[int, int], ...]] = []
+    count = nodes = 0
+
+    def merge(walked: _Walked) -> bool:
+        # Walks arrive in walk order; stop where a sequential run would have.
+        nonlocal count, nodes
+        if cap is not None and len(collected) + walked.found >= cap:
+            take = cap - len(collected)
+            collected.extend(walked.emissions[:take])
+            nodes += walked.emission_nodes[take - 1]
+            return True
+        count += walked.found
+        collected.extend(walked.emissions)
+        nodes += walked.nodes
+        return False
+
+    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1:
+        _search_parallel(walk, workers, merge)
     else:
-        results = [_run_branch((n, constraints, symmetry_breaking, keep, cap, None))]
+        merge(_run_task(walk, ()))
 
     if not keep:
-        count = sum(found for _, _, found, _ in results)
-        nodes = sum(total for _, _, _, total in results)
         return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
-
-    # Take the branches in order and stop where a sequential run would have.
-    collected: list[Schedule] = []
-    nodes = 0
-    for emissions, emission_nodes, _found, total in results:
-        if cap is not None and len(collected) + len(emissions) >= cap:
-            take = cap - len(collected)
-            collected.extend(_to_schedule(n, g) for g in emissions[:take])
-            nodes += emission_nodes[take - 1]
-            break
-        collected.extend(_to_schedule(n, g) for g in emissions)
-        nodes += total
+    schedules = tuple(_to_schedule(n, g) for g in collected)
     if mode == "first":
         return SearchOutcome(mode=mode, nodes_explored=nodes,
-                             found=collected[0] if collected else None)
-    return SearchOutcome(mode=mode, nodes_explored=nodes, schedules=tuple(collected))
+                             found=schedules[0] if schedules else None)
+    return SearchOutcome(mode=mode, nodes_explored=nodes, schedules=schedules)
 
 
-def _run_branch(task):
-    """Walk the subtree below one first game, or the whole tree for None.
+class _Walked(NamedTuple):
+    """What one walk found: ``emissions[i]`` was emitted when its node
+    counter read ``emission_nodes[i]`` (both empty in count mode), and it
+    counted ``found`` schedules and ``nodes`` nodes in all."""
 
-    Returns (emissions, emission_nodes, found, total_nodes) where
-    emissions[i] was emitted when the node counter read emission_nodes[i]
-    (without ``keep`` only the tally is kept).  The caller uses the
-    checkpoints to report the same node count a sequential run would.
-    """
-    n, constraints, symmetry, keep, cap, first_pair = task
+    emissions: list[tuple[tuple[int, int], ...]]
+    emission_nodes: list[int]
+    found: int
+    nodes: int
+
+
+def _run_task(walk, prefix, budget=None, tasks=None) -> _Walked:
+    """Walk the subtree below ``prefix``, in this process or in a worker."""
+    n, constraints, symmetry, keep, cap = walk
     emissions: list[tuple[tuple[int, int], ...]] = []
     emission_nodes: list[int] = []
     found = 0
@@ -256,20 +318,57 @@ def _run_branch(task):
             emission_nodes.append(nodes)
         return found == cap
 
-    total = _walk(n, constraints, symmetry, first_pair, emit)
-    return emissions, emission_nodes, found, total
+    nodes = _walk(n, constraints, symmetry, prefix, emit, budget, tasks)
+    return _Walked(emissions, emission_nodes, found, nodes)
 
 
-def _search_parallel(n, constraints, keep, cap, jobs) -> list:
-    """Walk each first-game subtree of the unbroken search in a worker process."""
+def _search_parallel(walk, workers: int, merge) -> None:
+    """Walk in this process until the budget is spent, then the rest in a pool.
+
+    The subtrees the budgeted walk leaves are split, shallowest first, until
+    there are ``_TASKS_PER_WORKER`` per worker, so that one big subtree does
+    not leave the other workers idle.  Their results are merged in walk
+    order, and no more than ``_AHEAD_PER_WORKER`` per worker are handed to
+    the pool ahead of the merge, so that a run that stops at its cap leaves
+    little work behind.
+    """
+    tasks: list[tuple[tuple[int, int], ...]] = []
+    if merge(_run_task(walk, (), _SPLIT_BUDGET, tasks)) or not tasks:
+        return
+    # Splitting a task walks its root node here and leaves the root's
+    # result in its place, followed by its children as new tasks.
+    entries: list = list(tasks)
+    while tasks and len(tasks) < _TASKS_PER_WORKER * workers:
+        at = min((i for i, entry in enumerate(entries) if not isinstance(entry, _Walked)),
+                 key=lambda i: len(entries[i]))
+        children: list[tuple[tuple[int, int], ...]] = []
+        entries[at:at + 1] = [_run_task(walk, entries[at], 1, children), *children]
+        tasks = [entry for entry in entries if not isinstance(entry, _Walked)]
+    if not tasks:
+        # The splits walked the rest of the tree.
+        for entry in entries:
+            if merge(entry):
+                return
+        return
+
     # Imported here: the pool modules cost more than the rest of the package
-    # to import, and only runs with jobs > 1 need them.
+    # to import, and only runs that outlast the budget need them.
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(n, constraints, False, keep, cap, (a, b))
-             for a in range(1, n) for b in range(a + 1, n + 1)]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_run_branch, tasks))
+    workers = min(workers, len(tasks))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    queued = iter(tasks)
+    ahead: deque = deque()
+    try:
+        for entry in entries:
+            if not isinstance(entry, _Walked):
+                ahead.extend(pool.submit(_run_task, walk, prefix) for prefix in
+                             islice(queued, _AHEAD_PER_WORKER * workers - len(ahead)))
+                entry = ahead.popleft().result()
+            if merge(entry):
+                return
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def canonicalize(s: Schedule) -> Schedule:

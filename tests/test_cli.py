@@ -74,6 +74,18 @@ class TestGenerate:
                            "--multiplicity", "0")
         assert code == 2
 
+    def test_bad_multiplicity_is_rejected_before_generating(self, capsys, monkeypatch):
+        import rrsched.cli
+
+        def refuse(teams):
+            raise AssertionError("the schedule was generated")
+
+        monkeypatch.setitem(rrsched.cli._GENERATORS, "circle", refuse)
+        code, out, err = run(capsys, "generate", "--teams", "800", "--method", "circle",
+                             "--multiplicity", "0")
+        assert code == 2 and out == ""
+        assert "duplication factor must be >= 1, got 0" in err
+
     def test_tiny_team_count_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--teams", "1", "--method", "circle")
         assert code == 2

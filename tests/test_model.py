@@ -258,6 +258,27 @@ class TestTextFormat:
                 parse(data)
             assert exc.value.line == line
 
+    @pytest.mark.parametrize("separator", [
+        "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    ])
+    def test_only_newlines_end_a_line(self, separator):
+        # str.splitlines() also breaks at these, which would number the
+        # bad game on line 3 as line 4.
+        with pytest.raises(ParseError) as exc:
+            parse_schedule(f"n 3{separator}\n1 2\n1 x\n2 3\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("data, line", [
+        (b"n 3\r1 2\r1 x\r2 3\r", 3),
+        (b"n 3\r\n1 2\r1 x\n2 3\n", 3),
+        (b"n 3\r1 2\r\n1 \xff\n", 3),
+        (b"n 3\x0c\n1 2\n1 \xff\n", 3),
+    ])
+    def test_lone_carriage_returns_end_lines_for_parser_and_decoder(self, data, line):
+        with pytest.raises(ParseError) as exc:
+            parse_schedule(data)
+        assert exc.value.line == line
+
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="int() has no digit limit in this interpreter")
     def test_overlong_numbers_are_parse_errors(self):

@@ -1,6 +1,12 @@
 """Search: pruned enumeration, symmetry breaking, canonicalization."""
 
+import contextlib
+import functools
+import importlib
 import itertools
+import os
+import signal
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +32,9 @@ from reference import (
     SIX_TEAM_LOW_REST_DIFF_A,
     SIX_TEAM_LOW_REST_DIFF_B,
 )
+
+# The package exports the search() function under the module's name.
+search_module = importlib.import_module("rrsched.search")
 
 
 class TestEmptinessResults:
@@ -234,7 +243,8 @@ class TestParallelDeterminism:
         assert par.nodes_explored == seq.nodes_explored
 
     def test_single_branch_runs_without_a_process_pool(self, monkeypatch):
-        # Under symmetry breaking every schedule opens with (1, 2): nothing to split.
+        # 92 nodes: the run ends within the split budget, so it never
+        # reaches the point where it would start a pool.
         import concurrent.futures
 
         def refuse(*args, **kwargs):
@@ -264,6 +274,171 @@ class TestParallelDeterminism:
                      limit=5, symmetry_breaking=False, jobs=3)
         assert par.schedules == seq.schedules
         assert par.nodes_explored == seq.nodes_explored
+
+
+class InProcessExecutor:
+    """Stands in for ProcessPoolExecutor: runs each task as it is submitted,
+    in this process, and records the worker count and the tasks."""
+
+    def __init__(self, started, max_workers):
+        self.max_workers = max_workers
+        self.results = []
+        self.shut_down = False
+        started.append(self)
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            result = fn(*args)
+        except Exception as exc:  # delivered through the future, as a pool does
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+            self.results.append(result)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shut_down = True
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Run jobs > 1 searches in this process with a tiny split budget; yields
+    the setter of the budget and the list of executors the runs started."""
+    import concurrent.futures
+
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(InProcessExecutor, started))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def budget(nodes):
+        monkeypatch.setattr(search_module, "_SPLIT_BUDGET", nodes)
+
+    yield budget, started
+
+
+def _split_grid():
+    # Every case of n = 3 and 4; n = 5 with min_rest >= 1, which keeps each
+    # under 8,000 nodes.
+    bounds = (None, 0, 1, 2)
+    for n in (3, 4, 5):
+        for min_rest, max_gpd, max_rdi in itertools.product(bounds, repeat=3):
+            if n == 5 and not min_rest:
+                continue
+            for symmetry in (True, False):
+                for mode, limit in (("first", None), ("count", None),
+                                    ("enumerate", None), ("enumerate", 3)):
+                    yield (n, SearchConstraints(min_rest, max_gpd, max_rdi), mode, limit,
+                           symmetry)
+
+
+class TestBudgetedSplit:
+    @pytest.fixture(scope="class")
+    def sequential(self):
+        return [(case, search(*case[:4], symmetry_breaking=case[4]))
+                for case in _split_grid()]
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_outcomes_equal_a_sequential_walk(self, split, sequential, budget, jobs):
+        set_budget, started = split
+        set_budget(budget)
+        for case, expected in sequential:
+            outcome = search(*case[:4], symmetry_breaking=case[4], jobs=jobs)
+            assert outcome == expected, case
+        assert started  # the grid did reach the pool
+        assert all(pool.shut_down for pool in started)
+
+    def test_worker_count_is_capped_at_the_cpu_count(self, split, monkeypatch):
+        set_budget, started = split
+        set_budget(1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        outcome = search(5, SearchConstraints(min_rest=1), mode="count",
+                         symmetry_breaking=False, jobs=1000)
+        assert outcome.count == search(5, SearchConstraints(min_rest=1), mode="count",
+                                       symmetry_breaking=False).count
+        assert [pool.max_workers for pool in started] == [3]
+
+    def test_one_cpu_walks_in_this_process(self, split, monkeypatch):
+        set_budget, started = split
+        set_budget(1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        search(5, SearchConstraints(min_rest=1), mode="count", jobs=8)
+        assert started == []
+
+    def test_first_mode_stops_handing_out_tasks(self, split):
+        set_budget, started = split
+        set_budget(1)
+        constraints = SearchConstraints(max_rdi=1)
+        search(6, constraints, mode="count", jobs=2)
+        everything = len(started[0].results)
+        found = search(6, constraints, mode="first", jobs=2)
+        assert found == search(6, constraints, mode="first")
+        ran = started[1].results
+        witness = next(i for i, walked in enumerate(ran) if walked.found)
+        # The task that held the witness, and those already handed out ahead of it.
+        assert len(ran) <= witness + search_module._AHEAD_PER_WORKER * 2
+        assert len(ran) < everything
+
+    def test_real_pool_matches_a_sequential_walk(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cases = [(6, SearchConstraints(min_rest=1), "enumerate", 5, True),
+                 (4, SearchConstraints(max_rdi=2), "count", None, False),
+                 (6, SearchConstraints(max_rdi=1), "first", None, True),
+                 (5, SearchConstraints(min_rest=1, max_gpd=2), "enumerate", 3, False)]
+        for case in cases:
+            expected = search(*case[:4], symmetry_breaking=case[4])
+            assert search(*case[:4], symmetry_breaking=case[4], jobs=2) == expected, case
+        assert pools == [2] * len(cases)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
+        monkeypatch.setattr(search_module, "_run_task", _fail_in_workers)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with _deadline(60), pytest.raises(RuntimeError, match="failed in a worker"):
+            search(5, SearchConstraints(min_rest=1), mode="count",
+                   symmetry_breaking=False, jobs=2)
+
+
+_run_task_here = search_module._run_task
+
+
+def _fail_in_workers(walk, prefix, budget=None, tasks=None):
+    # This process walks with a budget; the workers walk without one.
+    if budget is None:
+        raise RuntimeError("failed in a worker")
+    return _run_task_here(walk, prefix, budget, tasks)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the main thread if the block outlasts ``seconds``."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestArgumentValidation:
