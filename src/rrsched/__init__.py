@@ -8,7 +8,6 @@ at small team counts to confirm bounds and impossibility results.
 
 from .claims import CLAIM_NAMES, ClaimReport, verify_claim
 from .generators import (
-    SlotAssignment,
     circle_schedule,
     duplicate_rounds,
     odd_optimal_schedule,
@@ -16,14 +15,9 @@ from .generators import (
 )
 from .metrics import (
     MetricsReport,
-    always_longer_rest_teams,
     evaluate,
-    games_played_difference_index,
-    guaranteed_rest_time,
     report_from_json,
     report_to_json,
-    rest_difference_index,
-    rest_profile,
 )
 from .model import (
     ParseError,
@@ -33,12 +27,10 @@ from .model import (
     load_schedule,
     make_schedule,
     parse_schedule,
-    round_of,
     round_structure,
     schedule_from_json,
     schedule_to_json,
     serialize_schedule,
-    slot_of,
 )
 from .search import SearchConstraints, SearchOutcome, canonicalize, search
 
@@ -54,14 +46,10 @@ __all__ = [
     "ScheduleValidationError",
     "SearchConstraints",
     "SearchOutcome",
-    "SlotAssignment",
-    "always_longer_rest_teams",
     "canonicalize",
     "circle_schedule",
     "duplicate_rounds",
     "evaluate",
-    "games_played_difference_index",
-    "guaranteed_rest_time",
     "load_schedule",
     "make_schedule",
     "odd_optimal_schedule",
@@ -69,14 +57,10 @@ __all__ = [
     "parse_schedule",
     "report_from_json",
     "report_to_json",
-    "rest_difference_index",
-    "rest_profile",
-    "round_of",
     "round_structure",
     "schedule_from_json",
     "schedule_to_json",
     "search",
     "serialize_schedule",
-    "slot_of",
     "verify_claim",
 ]

@@ -18,7 +18,7 @@ from .generators import (
     odd_optimal_schedule,
 )
 from .metrics import MetricsReport, evaluate, report_to_json
-from .model import ParseError, Schedule, load_schedule, schedule_to_json, serialize_schedule
+from .model import Schedule, load_schedule, schedule_to_json, serialize_schedule
 from .search import SearchConstraints, search
 
 EXIT_OK = 0
@@ -88,15 +88,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        # Checked first: a bad factor should not wait for a large schedule.
-        check_duplication_factor(args.multiplicity)
-        schedule = _GENERATORS[args.method](args.teams)
-        if args.multiplicity != 1:
-            schedule = duplicate_rounds(schedule, args.multiplicity)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # Checked first: a bad factor should not wait for a large schedule.
+    check_duplication_factor(args.multiplicity)
+    schedule = _GENERATORS[args.method](args.teams)
+    if args.multiplicity != 1:
+        schedule = duplicate_rounds(schedule, args.multiplicity)
     if args.format == "structured":
         _emit(schedule_to_json(schedule, indent=2), args.output)
     else:
@@ -123,21 +119,12 @@ def _format_report_table(report: MetricsReport) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    try:
-        if args.file:
-            with open(args.file, "rb") as handle:
-                data = handle.read()
-        else:
-            data = sys.stdin.buffer.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        schedule = load_schedule(data)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = evaluate(schedule)
+    if args.file:
+        with open(args.file, "rb") as handle:
+            data = handle.read()
+    else:
+        data = sys.stdin.buffer.read()
+    report = evaluate(load_schedule(data))
     if args.format == "structured":
         sys.stdout.write(report_to_json(report, indent=2))
     else:
@@ -152,16 +139,11 @@ def _print_found(schedule: Schedule, index: int | None = None) -> None:
 
 
 def _cmd_search(args) -> int:
-    try:
-        constraints = SearchConstraints(min_rest=args.min_rest, max_gpd=args.max_gpd,
-                                        max_rdi=args.max_rdi)
-        outcome = search(args.teams, constraints, mode=args.mode, limit=args.limit,
-                         symmetry_breaking=not args.no_symmetry_breaking,
-                         jobs=args.jobs, allow_large=args.allow_large)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    constraints = SearchConstraints(min_rest=args.min_rest, max_gpd=args.max_gpd,
+                                    max_rdi=args.max_rdi)
+    outcome = search(args.teams, constraints, mode=args.mode, limit=args.limit,
+                     symmetry_breaking=not args.no_symmetry_breaking,
+                     jobs=args.jobs, allow_large=args.allow_large)
     if outcome.mode == "first":
         if outcome.found is None:
             sys.stdout.write(f"no schedule satisfies the constraints\n"
@@ -184,11 +166,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = verify_claim(args.claim, args.teams)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = verify_claim(args.claim, args.teams)
     status = "PASS" if report.passed else "FAIL"
     scope = f" (teams={report.teams})" if report.teams is not None else ""
     line = f"{status} {report.claim}{scope}: {report.details}"
@@ -211,7 +189,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        # ParseError and ScheduleValidationError are ValueErrors.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

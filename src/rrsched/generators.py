@@ -6,14 +6,13 @@ Two single-round-robin generators plus a round-duplication operator:
   any number of teams.
 * :func:`odd_optimal_schedule` - a slot-table construction for an odd number
   of teams that simultaneously maximizes the guaranteed rest time and keeps
-  both difference indices at 1.
+  both difference indices at 1.  :func:`odd_slot_assignment` returns its
+  table as plain rows, one tuple of team slots per round.
 * :func:`duplicate_rounds` - turns a single round robin into an m-fold one by
   repeating each round block m times.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .model import Schedule, make_schedule, round_structure
 
@@ -54,42 +53,6 @@ def circle_schedule(n: int) -> Schedule:
     return make_schedule(n, 1, games)
 
 
-@dataclass(frozen=True)
-class SlotAssignment:
-    """Per-round slot table for an odd number of teams.
-
-    ``slots[j-1][t-1]`` is the slot of team t in round j.  Slots run 0..k
-    where k = (n-1)/2; slot 0 means the team sits out (its bye).  Every round
-    seats exactly two teams in each of slots 1..k and exactly one team in
-    slot 0, and each team has exactly one bye across the rounds.
-    """
-
-    n: int
-    slots: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        k = self.games_per_round
-        for j, row in enumerate(self.slots, start=1):
-            seen: dict[int, int] = {}
-            for value in row:
-                seen[value] = seen.get(value, 0) + 1
-            if seen.get(0, 0) != 1 or any(seen.get(s, 0) != 2 for s in range(1, k + 1)):
-                raise ValueError(f"round {j} slot occupancy is not 1 bye + 2 per slot: {row}")
-        byes = [sum(1 for row in self.slots if row[t] == 0) for t in range(self.n)]
-        if any(count != 1 for count in byes):
-            raise ValueError(f"each team must sit out exactly once, got byes {byes}")
-
-    @property
-    def games_per_round(self) -> int:
-        return (self.n - 1) // 2
-
-    def slot(self, round_no: int, team: int) -> int:
-        return self.slots[round_no - 1][team - 1]
-
-    def bye_team(self, round_no: int) -> int:
-        return self.slots[round_no - 1].index(0) + 1
-
-
 def _odd_slot(n: int, k: int, team: int, j: int) -> int:
     # Closed forms for the per-round slot of each team; slots are mod k+1.
     if team == n:
@@ -105,25 +68,29 @@ def _odd_slot(n: int, k: int, team: int, j: int) -> int:
     return (k + 1 - i) % (k + 1)
 
 
-def odd_slot_assignment(n: int) -> SlotAssignment:
+def odd_slot_assignment(n: int) -> tuple[tuple[int, ...], ...]:
     """Slot table realizing the optimal odd-``n`` construction.
 
-    With k = (n-1)/2 and rounds j = 1..2k+1:
+    Returns one row per round: ``table[j-1][t-1]`` is the slot of team t in
+    round j.  With k = (n-1)/2, slots run 0..k, and slot 0 is the team's bye.
+    Over rounds j = 1..2k+1:
 
     * odd team 2i-1 holds slot i through round 2i, then advances one slot per
       round (mod k+1, passing through the bye slot 0);
     * even team 2i starts in slot i and advances one slot per round through
       round 2k+3-2i, then holds its slot for the remaining rounds;
     * team n sits in slot floor(j/2) in round j, so it has the round-1 bye.
+
+    Every round seats one team in slot 0 and two in each of slots 1..k, and
+    every team sits out exactly one round.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd team count >= 3, got {n}")
     k = (n - 1) // 2
-    rows = tuple(
+    return tuple(
         tuple(_odd_slot(n, k, team, j) for team in range(1, n + 1))
         for j in range(1, 2 * k + 2)
     )
-    return SlotAssignment(n=n, slots=rows)
 
 
 def odd_optimal_schedule(n: int) -> Schedule:
@@ -132,10 +99,9 @@ def odd_optimal_schedule(n: int) -> Schedule:
     Round j contributes its games in slot order 1..k; each game is the pair
     of teams sharing that slot, emitted with the lower team first.
     """
-    table = odd_slot_assignment(n)
-    k = table.games_per_round
+    k = (n - 1) // 2
     games: list[tuple[int, int]] = []
-    for row in table.slots:
+    for row in odd_slot_assignment(n):
         by_slot: dict[int, list[int]] = {}
         for team, slot in enumerate(row, start=1):
             by_slot.setdefault(slot, []).append(team)

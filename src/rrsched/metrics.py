@@ -15,13 +15,14 @@ each team's latest position, which gives the team's rest before each game
 and the rest difference as the gap between the two latest positions, and a
 histogram of games played: the maximum count rises with the team that
 reaches it, and the minimum rises only when the last team at it plays, so
-the games-played spread costs O(1) per game.  The other public functions
-each read one field of :func:`evaluate`.
+the games-played spread costs O(1) per game.  It is the one way to read a
+measure: each is a field of the :class:`MetricsReport` it returns.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from .model import ParseError, Schedule, _load_json
@@ -33,7 +34,12 @@ class MetricsReport:
 
     ``guaranteed_rest_time`` is None when no team plays twice (that happens
     only for a single game between two teams); both difference indices are at
-    least 1 whenever there are three or more teams.
+    least 1 whenever there are three or more teams.  ``rest_profiles[t]``
+    lists the rests between team t's consecutive games, v - u - 1 for each
+    adjacent pair of positions.  ``always_longer_rest_teams`` holds the teams
+    strictly better rested than the opponent in every game after their first,
+    under the same debut convention as the rest difference index; a team
+    with no game after its first (possible only with two teams) is not one.
     """
 
     team_count: int
@@ -43,38 +49,6 @@ class MetricsReport:
     rest_difference_index: int
     rest_profiles: dict[int, tuple[int, ...]]
     always_longer_rest_teams: frozenset[int]
-
-
-def rest_profile(s: Schedule, team: int) -> list[int]:
-    """Rests between the team's consecutive games: v - u - 1 per adjacent pair."""
-    if team not in s.teams:
-        raise ValueError(f"team {team} out of range 1..{s.team_count}")
-    return list(evaluate(s).rest_profiles[team])
-
-
-def guaranteed_rest_time(s: Schedule) -> int | None:
-    """Minimum rest over all teams and consecutive-game pairs; None if no team plays twice."""
-    return evaluate(s).guaranteed_rest_time
-
-
-def games_played_difference_index(s: Schedule) -> int:
-    """Largest max-min spread of per-team game counts after any completed game."""
-    return evaluate(s).games_played_difference_index
-
-
-def rest_difference_index(s: Schedule) -> int:
-    """Largest |rest_a - rest_b| over all games."""
-    return evaluate(s).rest_difference_index
-
-
-def always_longer_rest_teams(s: Schedule) -> set[int]:
-    """Teams strictly better rested than the opponent in every game after their first.
-
-    A team with no game after its first (possible only with two teams) does
-    not qualify; the comparison uses the same debut convention as the rest
-    difference index.
-    """
-    return set(evaluate(s).always_longer_rest_teams)
 
 
 def evaluate(s: Schedule) -> MetricsReport:
@@ -148,17 +122,61 @@ def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent) + "\n"
 
 
+_REPORT_FIELDS = ("n", "m", "guaranteed_rest_time", "games_played_difference_index",
+                  "rest_difference_index", "always_longer_rest_teams", "rest_profiles")
+
+
 def report_from_json(data: str | bytes) -> MetricsReport:
+    """Parse the structured form of :func:`report_to_json`.
+
+    ``n``, ``m`` and the two difference indices must be JSON integers,
+    ``guaranteed_rest_time`` an integer or null, each rest profile and the
+    team list arrays of integers, and each profile key an unsigned ASCII
+    decimal team number.  Anything else raises :class:`ParseError`.
+    """
     doc = _load_json(data)
-    try:
-        return MetricsReport(
-            team_count=doc["n"],
-            multiplicity=doc["m"],
-            guaranteed_rest_time=doc["guaranteed_rest_time"],
-            games_played_difference_index=doc["games_played_difference_index"],
-            rest_difference_index=doc["rest_difference_index"],
-            rest_profiles={int(t): tuple(p) for t, p in doc["rest_profiles"].items()},
-            always_longer_rest_teams=frozenset(doc["always_longer_rest_teams"]),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"malformed metrics report: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("metrics report must be a JSON object")
+    for name in _REPORT_FIELDS:
+        if name not in doc:
+            raise ParseError(f"malformed metrics report: missing field {name!r}")
+    for name in ("n", "m", "games_played_difference_index", "rest_difference_index"):
+        _check_int(doc[name], name)
+    if doc["guaranteed_rest_time"] is not None:
+        _check_int(doc["guaranteed_rest_time"], "guaranteed_rest_time")
+    _check_int_list(doc["always_longer_rest_teams"], "always_longer_rest_teams")
+    if not isinstance(doc["rest_profiles"], dict):
+        raise ParseError("malformed metrics report: 'rest_profiles' must be an object")
+    profiles: dict[int, tuple[int, ...]] = {}
+    for key, profile in doc["rest_profiles"].items():
+        # int() alone would also read "1_0" as 10 and non-ASCII digits.
+        if not (key.isdigit() and key.isascii()):
+            raise ParseError(f"malformed metrics report: team key {reprlib.repr(key)}")
+        try:
+            team = int(key)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError("malformed metrics report: team key too long") from None
+        profiles[team] = tuple(_check_int_list(profile, f"rest profile of team {key}"))
+    return MetricsReport(
+        team_count=doc["n"],
+        multiplicity=doc["m"],
+        guaranteed_rest_time=doc["guaranteed_rest_time"],
+        games_played_difference_index=doc["games_played_difference_index"],
+        rest_difference_index=doc["rest_difference_index"],
+        rest_profiles=profiles,
+        always_longer_rest_teams=frozenset(doc["always_longer_rest_teams"]),
+    )
+
+
+def _check_int(value, name: str) -> None:
+    # type() rather than isinstance(), as in make_schedule: JSON true is not 1.
+    if type(value) is not int:
+        raise ParseError(f"malformed metrics report: {name} must be an integer, "
+                         f"got {reprlib.repr(value)}")
+
+
+def _check_int_list(value, name: str) -> list[int]:
+    if type(value) is not list or any(type(item) is not int for item in value):
+        raise ParseError(f"malformed metrics report: {name} must be an array of "
+                         f"integers, got {reprlib.repr(value)}")
+    return value

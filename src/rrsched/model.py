@@ -1,4 +1,4 @@
-"""Core schedule model: games, round/slot arithmetic, validation, and I/O.
+"""Core schedule model: games, round structure, validation, and I/O.
 
 An asynchronous round-robin schedule is a total order on games: game i is the
 i-th game played, and no two games overlap.  Teams are 1-based integers; a
@@ -78,31 +78,14 @@ def round_structure(n: int) -> RoundStructure:
 
     g = floor(n/2) and r = 2*ceil(n/2) - 1, so r*g = n(n-1)/2: rounds are
     consecutive blocks of g games and a single round robin fills r of them.
+    The game at 1-based position i is in round (i - 1) // g + 1, counting
+    past r when m > 1.
     """
     if n < 2:
         raise ValueError(f"need at least 2 teams, got {n}")
     g = n // 2
     r = 2 * ((n + 1) // 2) - 1
     return RoundStructure(n=n, g=g, r=r)
-
-
-def _check_index(index: int, n: int, multiplicity: int) -> int:
-    top = expected_length(n, multiplicity)
-    if not 1 <= index <= top:
-        raise ValueError(f"game index {index} out of range 1..{top} for n={n}, m={multiplicity}")
-    return round_structure(n).g
-
-
-def round_of(index: int, n: int, multiplicity: int = 1) -> int:
-    """Round number (1-based) of the game at ``index``; counts past r when m > 1."""
-    g = _check_index(index, n, multiplicity)
-    return (index + g - 1) // g
-
-
-def slot_of(index: int, n: int, multiplicity: int = 1) -> int:
-    """Slot (position within its round, 1-based) of the game at ``index``."""
-    g = _check_index(index, n, multiplicity)
-    return (index - 1) % g + 1
 
 
 def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:

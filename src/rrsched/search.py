@@ -70,7 +70,13 @@ class SearchConstraints:
     def __post_init__(self):
         for name in ("min_rest", "max_gpd", "max_rdi"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is None:
+                continue
+            # type() rather than isinstance(), as in make_schedule: True is
+            # not a bound.
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
@@ -214,12 +220,6 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
     return nodes
 
 
-def _to_schedule(n: int, games: tuple[tuple[int, int], ...]) -> Schedule:
-    # Sequences coming out of the walk are complete and valid by
-    # construction; build the Schedule directly.
-    return Schedule(team_count=n, multiplicity=1, games=games)
-
-
 def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
     if n < 3:
         raise ValueError(f"search needs at least 3 teams, got {n}")
@@ -285,7 +285,9 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 
     if not keep:
         return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
-    schedules = tuple(_to_schedule(n, g) for g in collected)
+    # Walked sequences are complete and valid by construction, so they skip
+    # make_schedule.
+    schedules = tuple(Schedule(team_count=n, multiplicity=1, games=g) for g in collected)
     if mode == "first":
         return SearchOutcome(mode=mode, nodes_explored=nodes,
                              found=schedules[0] if schedules else None)

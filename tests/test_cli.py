@@ -90,6 +90,15 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--teams", "1", "--method", "circle")
         assert code == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path):
+        target = tmp_path / "missing" / "schedule.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrsched", "generate", "--teams", "5",
+             "--method", "circle", "--output", str(target)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
 
 class TestEvaluate:
     def test_file_table(self, capsys, tmp_path):

@@ -8,7 +8,6 @@ from rrsched import (
     make_schedule,
     odd_optimal_schedule,
     odd_slot_assignment,
-    round_of,
     round_structure,
 )
 from rrsched.fixtures import (
@@ -88,12 +87,11 @@ def _slots_by_round(s):
 class TestOddSlotAssignment:
     def test_five_team_rows(self):
         table = odd_slot_assignment(5)
-        assert [table.slot(j, 5) for j in range(1, 6)] == [0, 1, 1, 2, 2]
-        assert [table.slot(j, 2) for j in range(1, 6)] == [1, 2, 0, 1, 2]
+        assert [row[5 - 1] for row in table] == [0, 1, 1, 2, 2]
+        assert [row[2 - 1] for row in table] == [1, 2, 0, 1, 2]
 
     def test_three_team_table(self):
-        table = odd_slot_assignment(3)
-        assert table.slots == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+        assert odd_slot_assignment(3) == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -101,16 +99,17 @@ class TestOddSlotAssignment:
         with pytest.raises(ValueError):
             odd_slot_assignment(1)
 
-    @pytest.mark.parametrize("n", range(3, 16, 2))
+    @pytest.mark.parametrize("n", range(3, 32, 2))
     def test_bye_structure(self, n):
+        k = (n - 1) // 2
         table = odd_slot_assignment(n)
-        byes = [table.bye_team(j) for j in range(1, n + 1)]
+        assert len(table) == n
+        for row in table:
+            assert len(row) == n
+            # One bye, and two teams in each of slots 1..k.
+            assert sorted(row) == [0] + [slot for slot in range(1, k + 1) for _ in range(2)]
+        byes = [row.index(0) + 1 for row in table]
         assert sorted(byes) == list(range(1, n + 1))  # each team exactly once
-
-    def test_slot_occupancy_validated(self):
-        from rrsched.generators import SlotAssignment
-        with pytest.raises(ValueError):
-            SlotAssignment(n=3, slots=((1, 1, 1), (1, 0, 1), (0, 1, 1)))
 
 
 class TestOddOptimalSchedule:
@@ -134,7 +133,7 @@ class TestOddOptimalSchedule:
         s = odd_optimal_schedule(n)
         meeting = {}
         for index, (a, b) in enumerate(s.games, start=1):
-            meeting[_key(a, b)] = round_of(index, n)
+            meeting[_key(a, b)] = (index - 1) // k + 1
         for i in range(1, k + 1):
             for j in range(1, k + 1):
                 if i != j:

@@ -6,18 +6,13 @@ from hypothesis import strategies as st
 
 from rrsched import (
     ParseError,
-    always_longer_rest_teams,
     circle_schedule,
     duplicate_rounds,
     evaluate,
-    games_played_difference_index,
-    guaranteed_rest_time,
     make_schedule,
     odd_optimal_schedule,
     report_from_json,
     report_to_json,
-    rest_difference_index,
-    rest_profile,
 )
 
 from conftest import all_pairs, random_schedule
@@ -41,77 +36,74 @@ def triple(s):
 
 class TestGuaranteedRestTime:
     def test_even_circle(self):
-        assert guaranteed_rest_time(circle_schedule(10)) == 3
+        assert evaluate(circle_schedule(10)).guaranteed_rest_time == 3
 
     def test_odd_optimal(self):
-        assert guaranteed_rest_time(odd_optimal_schedule(5)) == 1
+        assert evaluate(odd_optimal_schedule(5)).guaranteed_rest_time == 1
 
     def test_odd_circle(self):
         # (n - 5) / 2 for the odd circle method.
-        assert guaranteed_rest_time(circle_schedule(11)) == 3
+        assert evaluate(circle_schedule(11)).guaranteed_rest_time == 3
 
     def test_undefined_for_single_game(self):
-        assert guaranteed_rest_time(circle_schedule(2)) is None
+        assert evaluate(circle_schedule(2)).guaranteed_rest_time is None
 
     def test_defined_for_doubled_single_game(self):
-        assert guaranteed_rest_time(duplicate_rounds(circle_schedule(2), 2)) == 0
+        assert evaluate(duplicate_rounds(circle_schedule(2), 2)).guaranteed_rest_time == 0
 
 
 class TestGamesPlayedDifferenceIndex:
     def test_even_circle(self):
-        assert games_played_difference_index(circle_schedule(10)) == 1
+        assert evaluate(circle_schedule(10)).games_played_difference_index == 1
 
     def test_odd_circle(self):
-        assert games_played_difference_index(circle_schedule(11)) == 2
+        assert evaluate(circle_schedule(11)).games_played_difference_index == 2
 
     def test_low_rest_diff_fixture_b(self):
-        assert games_played_difference_index(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == 3
+        s = make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)
+        assert evaluate(s).games_played_difference_index == 3
 
     def test_single_game(self):
-        assert games_played_difference_index(circle_schedule(2)) == 0
+        assert evaluate(circle_schedule(2)).games_played_difference_index == 0
 
 
 class TestRestDifferenceIndex:
     def test_four_team_circle(self):
-        assert rest_difference_index(circle_schedule(4)) == 1
+        assert evaluate(circle_schedule(4)).rest_difference_index == 1
 
     def test_ten_team_circle(self):
-        assert rest_difference_index(circle_schedule(10)) == 2
+        assert evaluate(circle_schedule(10)).rest_difference_index == 2
 
     def test_eleven_team_circle(self):
-        assert rest_difference_index(circle_schedule(11)) == 6
+        assert evaluate(circle_schedule(11)).rest_difference_index == 6
 
     def test_single_game(self):
-        assert rest_difference_index(circle_schedule(2)) == 0
+        assert evaluate(circle_schedule(2)).rest_difference_index == 0
 
 
 class TestRestProfile:
     def test_five_team_reference_team_one(self):
-        assert rest_profile(odd_optimal_schedule(5), 1) == [1, 2, 2]
+        assert evaluate(odd_optimal_schedule(5)).rest_profiles[1] == (1, 2, 2)
 
     def test_three_team_profiles(self):
-        assert rest_profile(N3, 1) == [0]
-        assert rest_profile(N3, 3) == [0]
-
-    def test_rejects_unknown_team(self):
-        with pytest.raises(ValueError):
-            rest_profile(N3, 4)
+        profiles = evaluate(N3).rest_profiles
+        assert profiles[1] == profiles[3] == (0,)
 
 
 class TestAlwaysLongerRestTeams:
     def test_five_team_reference(self):
-        assert always_longer_rest_teams(odd_optimal_schedule(5)) == {2}
+        assert evaluate(odd_optimal_schedule(5)).always_longer_rest_teams == {2}
 
     def test_three_team(self):
-        assert always_longer_rest_teams(N3) == {2}
+        assert evaluate(N3).always_longer_rest_teams == {2}
 
     def test_total_on_even_circle(self):
         # No guarantee for even team counts; emptiness is acceptable output.
-        result = always_longer_rest_teams(circle_schedule(10))
-        assert isinstance(result, set)
+        result = evaluate(circle_schedule(10)).always_longer_rest_teams
+        assert isinstance(result, frozenset)
 
     def test_single_game_has_no_qualifiers(self):
-        assert always_longer_rest_teams(circle_schedule(2)) == set()
+        assert evaluate(circle_schedule(2)).always_longer_rest_teams == set()
 
 
 class TestEvaluate:
@@ -151,6 +143,32 @@ class TestEvaluate:
         report = evaluate(circle_schedule(2))
         again = report_from_json(report_to_json(report, indent=2))
         assert again == report and again.guaranteed_rest_time is None
+
+
+class TestReportFromJsonTypes:
+    # Each of these was once read into a report: "1_0" as team 10, "23" as
+    # frozenset({'2', '3'}), "12" as the profile ('1', '2').
+    @pytest.mark.parametrize("old,new", [
+        ('"n": 5', '"n": "five"'),
+        ('"n": 5', '"n": true'),
+        ('"guaranteed_rest_time": 1', '"guaranteed_rest_time": "x"'),
+        ('"1": [', '"1_0": ['),
+        ('"1": [', '"\u0661": ['),
+        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": "23"'),
+        ('"1": [1, 2, 2]', '"1": "12"'),
+    ])
+    def test_rejects(self, old, new):
+        text = report_to_json(evaluate(odd_optimal_schedule(5)))
+        assert old in text
+        with pytest.raises(ParseError, match="malformed metrics report"):
+            report_from_json(text.replace(old, new))
+
+    def test_rejects_missing_field_and_non_object(self):
+        text = report_to_json(evaluate(odd_optimal_schedule(5)))
+        with pytest.raises(ParseError, match="missing field 'm'"):
+            report_from_json(text.replace('"m": 1, ', ''))
+        with pytest.raises(ParseError, match="JSON object"):
+            report_from_json("[1]")
 
 
 class TestDuplicationInvariance:
@@ -200,15 +218,16 @@ class TestProperties:
         relabeled = make_schedule(
             s.team_count, 1, [(mapping[a], mapping[b]) for a, b in s.games])
         assert triple(relabeled) == triple(s)
-        assert always_longer_rest_teams(relabeled) == {
-            mapping[t] for t in always_longer_rest_teams(s)}
+        assert evaluate(relabeled).always_longer_rest_teams == {
+            mapping[t] for t in evaluate(s).always_longer_rest_teams}
 
     @given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_indices_at_least_one_for_three_plus_teams(self, n, rnd):
         s = random_schedule(rnd, n)
-        assert games_played_difference_index(s) >= 1
-        assert rest_difference_index(s) >= 1
+        report = evaluate(s)
+        assert report.games_played_difference_index >= 1
+        assert report.rest_difference_index >= 1
 
 
 class TestOracleAgreement:
@@ -217,19 +236,23 @@ class TestOracleAgreement:
             n = rng.randint(4, 9)
             m = 2 if rng.random() < 0.2 else 1
             s = random_schedule(rng, n, m)
-            assert guaranteed_rest_time(s) == brute_guaranteed_rest_time(s)
-            assert games_played_difference_index(s) == brute_games_played_difference_index(s)
-            assert rest_difference_index(s) == brute_rest_difference_index(s)
-            assert always_longer_rest_teams(s) == brute_always_longer_rest_teams(s)
+            report = evaluate(s)
+            assert report.guaranteed_rest_time == brute_guaranteed_rest_time(s)
+            assert (report.games_played_difference_index
+                    == brute_games_played_difference_index(s))
+            assert report.rest_difference_index == brute_rest_difference_index(s)
+            assert report.always_longer_rest_teams == brute_always_longer_rest_teams(s)
 
     def test_production_matches_brute_force_triple_round_robin(self, rng):
         # Game counts reach m(n - 1), so the games-played histogram runs deeper at m = 3.
         for _ in range(60):
             s = random_schedule(rng, rng.randint(3, 8), 3)
-            assert guaranteed_rest_time(s) == brute_guaranteed_rest_time(s)
-            assert games_played_difference_index(s) == brute_games_played_difference_index(s)
-            assert rest_difference_index(s) == brute_rest_difference_index(s)
-            assert always_longer_rest_teams(s) == brute_always_longer_rest_teams(s)
+            report = evaluate(s)
+            assert report.guaranteed_rest_time == brute_guaranteed_rest_time(s)
+            assert (report.games_played_difference_index
+                    == brute_games_played_difference_index(s))
+            assert report.rest_difference_index == brute_rest_difference_index(s)
+            assert report.always_longer_rest_teams == brute_always_longer_rest_teams(s)
 
     def test_rest_profiles_are_appearance_gaps(self, rng):
         for _ in range(100):

@@ -1,4 +1,4 @@
-"""Model layer: validation, round arithmetic, text and structured I/O."""
+"""Model layer: validation, round structure, text and structured I/O."""
 
 import sys
 
@@ -13,12 +13,10 @@ from rrsched import (
     load_schedule,
     make_schedule,
     parse_schedule,
-    round_of,
     round_structure,
     schedule_from_json,
     schedule_to_json,
     serialize_schedule,
-    slot_of,
 )
 from rrsched.fixtures import FIVE_TEAM_OPTIMAL
 
@@ -133,35 +131,6 @@ class TestRoundStructure:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             round_structure(1)
-
-
-class TestRoundSlotArithmetic:
-    @pytest.mark.parametrize("index,n,rnd,slot", [(6, 10, 2, 1), (10, 5, 5, 2), (1, 7, 1, 1)])
-    def test_examples(self, index, n, rnd, slot):
-        assert round_of(index, n) == rnd
-        assert slot_of(index, n) == slot
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            round_of(0, 5)
-        with pytest.raises(ValueError):
-            round_of(11, 5)
-        with pytest.raises(ValueError):
-            slot_of(11, 5)
-        # A doubled tournament has twice the indices, counting past r rounds.
-        assert round_of(11, 5, multiplicity=2) == 6
-        assert round_of(20, 5, multiplicity=2) == 10
-
-    @pytest.mark.parametrize("n", [5, 8])
-    def test_indices_partition_into_round_blocks(self, n):
-        g = round_structure(n).g
-        total = n * (n - 1) // 2
-        blocks: dict[int, list[int]] = {}
-        for index in range(1, total + 1):
-            blocks.setdefault(round_of(index, n), []).append(slot_of(index, n))
-        assert sorted(blocks) == list(range(1, round_structure(n).r + 1))
-        for slots in blocks.values():
-            assert slots == list(range(1, g + 1))
 
 
 class TestTextFormat:

@@ -474,6 +474,13 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             SearchConstraints(min_rest=-1)
 
+    # 1.5 once counted nothing, True ran as 1 and "1" raised a bare TypeError.
+    @pytest.mark.parametrize("bound", [1.5, True, "1"])
+    @pytest.mark.parametrize("name", ["min_rest", "max_gpd", "max_rdi"])
+    def test_rejects_non_integer_constraint(self, name, bound):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchConstraints(**{name: bound})
+
 
 class TestCanonicalize:
     def test_already_canonical_unchanged(self):
