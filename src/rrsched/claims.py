@@ -9,23 +9,27 @@ accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fixtures
 from .generators import circle_schedule, duplicate_rounds, odd_optimal_schedule
 from .metrics import evaluate
-from .model import Schedule
+from .model import Schedule, _Record, _set_field
 from .search import SearchConstraints, search
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    claim: str
-    teams: int | None
-    passed: bool
-    details: str
-    nodes_explored: int | None = None
-    witness: Schedule | None = None
+class ClaimReport(_Record):
+    """Outcome of one claim: ``nodes_explored`` is set for search-backed
+    claims, ``witness`` to a counterexample when one was found."""
+
+    __slots__ = ("claim", "teams", "passed", "details", "nodes_explored", "witness")
+
+    def __init__(self, claim: str, teams: int | None, passed: bool, details: str,
+                 nodes_explored: int | None = None, witness: Schedule | None = None):
+        _set_field(self, "claim", claim)
+        _set_field(self, "teams", teams)
+        _set_field(self, "passed", passed)
+        _set_field(self, "details", details)
+        _set_field(self, "nodes_explored", nodes_explored)
+        _set_field(self, "witness", witness)
 
 
 def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:

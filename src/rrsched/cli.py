@@ -10,22 +10,33 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .claims import CLAIM_NAMES, verify_claim
-from .generators import (
-    check_duplication_factor,
-    circle_schedule,
-    duplicate_rounds,
-    odd_optimal_schedule,
-)
-from .metrics import MetricsReport, evaluate, report_to_json
-from .model import Schedule, load_schedule, schedule_to_json, serialize_schedule
-from .search import SearchConstraints, search
+# Each command imports the modules it runs, when it runs: without a bytecode
+# cache, a command-line run pays to compile every module it imports.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
-_GENERATORS = {"circle": circle_schedule, "odd-optimal": odd_optimal_schedule}
+_METHODS = ("circle", "odd-optimal")
+
+
+class _ClaimOption(argparse.Action):
+    """``--claim NAME``.  Its help lists the claims, read only when help is
+    printed: the claims module imports every other module."""
+
+    @property
+    def help(self):
+        from .claims import CLAIM_NAMES
+
+        return f"one of: {', '.join(CLAIM_NAMES)}"
+
+    @help.setter
+    def help(self, value):
+        # Action.__init__ stores the help passed to add_argument; none is.
+        pass
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="construct a schedule")
     gen.add_argument("--teams", type=int, required=True, help="number of teams")
-    gen.add_argument("--method", choices=tuple(_GENERATORS), required=True,
+    gen.add_argument("--method", choices=_METHODS, required=True,
                      help="construction to use")
     gen.add_argument("--multiplicity", type=int, default=1,
                      help="repeat each round this many times (default 1)")
@@ -71,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="permit team counts and unconstrained runs the tool would refuse")
 
     ve = sub.add_parser("verify", help="check a named claim")
-    ve.add_argument("--claim", required=True, metavar="NAME",
-                    help=f"one of: {', '.join(CLAIM_NAMES)}")
+    ve.add_argument("--claim", action=_ClaimOption, required=True, metavar="NAME")
     ve.add_argument("--teams", type=int, default=None,
                     help="team count (defaults to the smallest the claim covers)")
 
@@ -88,9 +98,18 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import (
+        check_duplication_factor,
+        circle_schedule,
+        duplicate_rounds,
+        odd_optimal_schedule,
+    )
+    from .model import schedule_to_json, serialize_schedule
+
     # Checked first: a bad factor should not wait for a large schedule.
     check_duplication_factor(args.multiplicity)
-    schedule = _GENERATORS[args.method](args.teams)
+    generate = {"circle": circle_schedule, "odd-optimal": odd_optimal_schedule}[args.method]
+    schedule = generate(args.teams)
     if args.multiplicity != 1:
         schedule = duplicate_rounds(schedule, args.multiplicity)
     if args.format == "structured":
@@ -100,7 +119,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _format_report_table(report: MetricsReport) -> str:
+def _format_report_table(report) -> str:
     rest = report.guaranteed_rest_time
     always = " ".join(str(t) for t in sorted(report.always_longer_rest_teams)) or "none"
     rows = [
@@ -119,6 +138,9 @@ def _format_report_table(report: MetricsReport) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    from .metrics import evaluate, report_to_json
+    from .model import load_schedule
+
     if args.file:
         with open(args.file, "rb") as handle:
             data = handle.read()
@@ -132,13 +154,10 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _print_found(schedule: Schedule, index: int | None = None) -> None:
-    if index is not None:
-        sys.stdout.write(f"# schedule {index}\n")
-    sys.stdout.write(serialize_schedule(schedule))
-
-
 def _cmd_search(args) -> int:
+    from .model import serialize_schedule
+    from .search import SearchConstraints, search
+
     constraints = SearchConstraints(min_rest=args.min_rest, max_gpd=args.max_gpd,
                                     max_rdi=args.max_rdi)
     outcome = search(args.teams, constraints, mode=args.mode, limit=args.limit,
@@ -149,7 +168,7 @@ def _cmd_search(args) -> int:
             sys.stdout.write(f"no schedule satisfies the constraints\n"
                              f"# nodes explored: {outcome.nodes_explored}\n")
             return EXIT_NEGATIVE
-        _print_found(outcome.found)
+        sys.stdout.write(serialize_schedule(outcome.found))
         sys.stdout.write(f"# nodes explored: {outcome.nodes_explored}\n")
         return EXIT_OK
     if outcome.mode == "count":
@@ -159,13 +178,17 @@ def _cmd_search(args) -> int:
                          f"reference value)\n# nodes explored: {outcome.nodes_explored}\n")
         return EXIT_OK
     for i, schedule in enumerate(outcome.schedules, start=1):
-        _print_found(schedule, index=i)
+        sys.stdout.write(f"# schedule {i}\n")
+        sys.stdout.write(serialize_schedule(schedule))
     sys.stdout.write(f"# schedules emitted: {len(outcome.schedules)}\n"
                      f"# nodes explored: {outcome.nodes_explored}\n")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from .claims import verify_claim
+    from .model import serialize_schedule
+
     report = verify_claim(args.claim, args.teams)
     status = "PASS" if report.passed else "FAIL"
     scope = f" (teams={report.teams})" if report.teams is not None else ""

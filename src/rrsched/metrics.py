@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
 
-from .model import ParseError, Schedule, _load_json
+from .model import ParseError, Schedule, _load_json, _Record, _set_field
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(_Record):
     """Bundled measures for one schedule.
 
     ``guaranteed_rest_time`` is None when no team plays twice (that happens
@@ -42,13 +40,21 @@ class MetricsReport:
     with no game after its first (possible only with two teams) is not one.
     """
 
-    team_count: int
-    multiplicity: int
-    guaranteed_rest_time: int | None
-    games_played_difference_index: int
-    rest_difference_index: int
-    rest_profiles: dict[int, tuple[int, ...]]
-    always_longer_rest_teams: frozenset[int]
+    __slots__ = ("team_count", "multiplicity", "guaranteed_rest_time",
+                 "games_played_difference_index", "rest_difference_index",
+                 "rest_profiles", "always_longer_rest_teams")
+
+    def __init__(self, team_count: int, multiplicity: int,
+                 guaranteed_rest_time: int | None, games_played_difference_index: int,
+                 rest_difference_index: int, rest_profiles: dict[int, tuple[int, ...]],
+                 always_longer_rest_teams: frozenset[int]):
+        _set_field(self, "team_count", team_count)
+        _set_field(self, "multiplicity", multiplicity)
+        _set_field(self, "guaranteed_rest_time", guaranteed_rest_time)
+        _set_field(self, "games_played_difference_index", games_played_difference_index)
+        _set_field(self, "rest_difference_index", rest_difference_index)
+        _set_field(self, "rest_profiles", rest_profiles)
+        _set_field(self, "always_longer_rest_teams", always_longer_rest_teams)
 
 
 def evaluate(s: Schedule) -> MetricsReport:
@@ -132,7 +138,10 @@ def report_from_json(data: str | bytes) -> MetricsReport:
     ``n``, ``m`` and the two difference indices must be JSON integers,
     ``guaranteed_rest_time`` an integer or null, each rest profile and the
     team list arrays of integers, and each profile key an unsigned ASCII
-    decimal team number.  Anything else raises :class:`ParseError`.
+    decimal team number.  The values must also be in range: n >= 2, m >= 1,
+    one profile for each team 1..n, every rest and measure >= 0, and the
+    teams in ``always_longer_rest_teams`` distinct and within 1..n.
+    Anything else raises :class:`ParseError`.
     """
     doc = _load_json(data)
     if not isinstance(doc, dict):
@@ -144,7 +153,19 @@ def report_from_json(data: str | bytes) -> MetricsReport:
         _check_int(doc[name], name)
     if doc["guaranteed_rest_time"] is not None:
         _check_int(doc["guaranteed_rest_time"], "guaranteed_rest_time")
-    _check_int_list(doc["always_longer_rest_teams"], "always_longer_rest_teams")
+    teams = _check_int_list(doc["always_longer_rest_teams"], "always_longer_rest_teams")
+    n = doc["n"]
+    if n < 2 or doc["m"] < 1:
+        raise ParseError(f"malformed metrics report: need n >= 2 and m >= 1, "
+                         f"got n={n}, m={doc['m']}")
+    for name in ("guaranteed_rest_time", "games_played_difference_index",
+                 "rest_difference_index"):
+        if doc[name] is not None and doc[name] < 0:
+            raise ParseError(f"malformed metrics report: {name} must be >= 0, "
+                             f"got {doc[name]}")
+    if len(set(teams)) != len(teams) or any(not 1 <= t <= n for t in teams):
+        raise ParseError(f"malformed metrics report: always_longer_rest_teams must be "
+                         f"distinct teams within 1..{n}, got {reprlib.repr(teams)}")
     if not isinstance(doc["rest_profiles"], dict):
         raise ParseError("malformed metrics report: 'rest_profiles' must be an object")
     profiles: dict[int, tuple[int, ...]] = {}
@@ -156,15 +177,25 @@ def report_from_json(data: str | bytes) -> MetricsReport:
             team = int(key)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise ParseError("malformed metrics report: team key too long") from None
-        profiles[team] = tuple(_check_int_list(profile, f"rest profile of team {key}"))
+        if team in profiles:  # "1" and "01"
+            raise ParseError(f"malformed metrics report: two profiles for team {key}")
+        profile = _check_int_list(profile, f"rest profile of team {key}")
+        if any(rest < 0 for rest in profile):
+            raise ParseError(f"malformed metrics report: negative rest in the profile "
+                             f"of team {key}")
+        profiles[team] = tuple(profile)
+    # n distinct teams within 1..n are exactly 1..n.
+    if len(profiles) != n or any(not 1 <= t <= n for t in profiles):
+        raise ParseError(f"malformed metrics report: rest profiles must be keyed by "
+                         f"the teams 1..{n}, got {reprlib.repr(sorted(profiles))}")
     return MetricsReport(
-        team_count=doc["n"],
+        team_count=n,
         multiplicity=doc["m"],
         guaranteed_rest_time=doc["guaranteed_rest_time"],
         games_played_difference_index=doc["games_played_difference_index"],
         rest_difference_index=doc["rest_difference_index"],
         rest_profiles=profiles,
-        always_longer_rest_teams=frozenset(doc["always_longer_rest_teams"]),
+        always_longer_rest_teams=frozenset(teams),
     )
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 
 class ScheduleValidationError(ValueError):
@@ -39,17 +38,62 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Schedule:
+# Stores a field in a _Record's __init__, past its raising __setattr__.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields, in order, in ``__slots__`` and stores each
+    in its ``__init__`` with ``_set_field``.  Equality (same class and field
+    values), hashing and ``repr`` follow the fields, and an instance pickles
+    as its class called with its field values.  Assigning or deleting an
+    attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Pickle's default restores slots through the raising __setattr__.
+        return (self.__class__, self._values())
+
+
+class Schedule(_Record):
     """A validated total order on the games of an m-fold round robin.
 
     Construct through :func:`make_schedule` (or the parsers), which enforce
     the invariants; instances are immutable after construction.
     """
 
-    team_count: int
-    multiplicity: int
-    games: tuple[tuple[int, int], ...]
+    __slots__ = ("team_count", "multiplicity", "games")
+
+    def __init__(self, team_count: int, multiplicity: int,
+                 games: tuple[tuple[int, int], ...]):
+        _set_field(self, "team_count", team_count)
+        _set_field(self, "multiplicity", multiplicity)
+        _set_field(self, "games", games)
 
     def __len__(self) -> int:
         return len(self.games)
@@ -59,13 +103,15 @@ class Schedule:
         return range(1, self.team_count + 1)
 
 
-@dataclass(frozen=True)
-class RoundStructure:
+class RoundStructure(_Record):
     """Derived per-``n`` quantities: g games per round over r rounds."""
 
-    n: int
-    g: int
-    r: int
+    __slots__ = ("n", "g", "r")
+
+    def __init__(self, n: int, g: int, r: int):
+        _set_field(self, "n", n)
+        _set_field(self, "g", g)
+        _set_field(self, "r", r)
 
 
 def expected_length(n: int, m: int = 1) -> int:

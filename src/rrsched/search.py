@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .model import Schedule, expected_length
+from .model import Schedule, _Record, _set_field, expected_length
 
 DEFAULT_TEAM_CEILING = 8
 # Unconstrained runs visit every ordering of the n(n-1)/2 games: 15! already
@@ -57,19 +56,17 @@ _TASKS_PER_WORKER = 16
 _AHEAD_PER_WORKER = 2
 
 
-@dataclass(frozen=True)
-class SearchConstraints:
+class SearchConstraints(_Record):
     """Optional bounds: rest at least ``min_rest`` between a team's games,
     prefix games-played spread at most ``max_gpd``, per-game rest difference
     at most ``max_rdi``."""
 
-    min_rest: int | None = None
-    max_gpd: int | None = None
-    max_rdi: int | None = None
+    __slots__ = ("min_rest", "max_gpd", "max_rdi")
 
-    def __post_init__(self):
-        for name in ("min_rest", "max_gpd", "max_rdi"):
-            value = getattr(self, name)
+    def __init__(self, min_rest: int | None = None, max_gpd: int | None = None,
+                 max_rdi: int | None = None):
+        for name, value in (("min_rest", min_rest), ("max_gpd", max_gpd),
+                            ("max_rdi", max_rdi)):
             if value is None:
                 continue
             # type() rather than isinstance(), as in make_schedule: True is
@@ -78,14 +75,16 @@ class SearchConstraints:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        _set_field(self, "min_rest", min_rest)
+        _set_field(self, "max_gpd", max_gpd)
+        _set_field(self, "max_rdi", max_rdi)
 
     @property
     def unconstrained(self) -> bool:
         return self.min_rest is None and self.max_gpd is None and self.max_rdi is None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Record):
     """Result of one search run.
 
     ``found`` is set in mode "first" (None when nothing satisfies the
@@ -94,11 +93,15 @@ class SearchOutcome:
     independent of the worker count.
     """
 
-    mode: str
-    nodes_explored: int
-    found: Schedule | None = None
-    count: int | None = None
-    schedules: tuple[Schedule, ...] = ()
+    __slots__ = ("mode", "nodes_explored", "found", "count", "schedules")
+
+    def __init__(self, mode: str, nodes_explored: int, found: Schedule | None = None,
+                 count: int | None = None, schedules: tuple[Schedule, ...] = ()):
+        _set_field(self, "mode", mode)
+        _set_field(self, "nodes_explored", nodes_explored)
+        _set_field(self, "found", found)
+        _set_field(self, "count", count)
+        _set_field(self, "schedules", schedules)
 
 
 def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
@@ -221,6 +224,14 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
 
 
 def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
+    checked = [("n", n), ("jobs", jobs)]
+    if limit is not None:
+        checked.append(("limit", limit))
+    for name, value in checked:
+        # type() rather than isinstance(), as in make_schedule: True is not a
+        # count.
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 3:
         raise ValueError(f"search needs at least 3 teams, got {n}")
     if n > DEFAULT_TEAM_CEILING and not allow_large:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from rrsched import (
+    CLAIM_NAMES,
     ClaimReport,
     load_schedule,
     make_schedule,
@@ -75,12 +76,12 @@ class TestGenerate:
         assert code == 2
 
     def test_bad_multiplicity_is_rejected_before_generating(self, capsys, monkeypatch):
-        import rrsched.cli
+        import rrsched.generators
 
         def refuse(teams):
             raise AssertionError("the schedule was generated")
 
-        monkeypatch.setitem(rrsched.cli._GENERATORS, "circle", refuse)
+        monkeypatch.setattr(rrsched.generators, "circle_schedule", refuse)
         code, out, err = run(capsys, "generate", "--teams", "800", "--method", "circle",
                              "--multiplicity", "0")
         assert code == 2 and out == ""
@@ -259,15 +260,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--claim", "odd-rest-bound", "--teams", "4")
         assert code == 2
 
+    def test_help_lists_every_claim(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a name
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in CLAIM_NAMES)
+
     def test_failing_claim_exits_1(self, capsys, monkeypatch):
-        from rrsched import cli as cli_module
+        import rrsched.claims
 
         def fake_verify(claim, teams=None):
             return ClaimReport(claim=claim, teams=teams, passed=False,
                                details="synthetic failure",
                                witness=odd_optimal_schedule(5))
 
-        monkeypatch.setattr(cli_module, "verify_claim", fake_verify)
+        monkeypatch.setattr(rrsched.claims, "verify_claim", fake_verify)
         code, out, _ = run(capsys, "verify", "--claim", "always-win", "--teams", "5")
         assert code == 1
         assert out.startswith("FAIL always-win")

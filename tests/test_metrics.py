@@ -1,5 +1,7 @@
 """Metrics: the three measures, diagnostics, invariances, and the oracle check."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,45 @@ class TestReportFromJsonTypes:
             report_from_json(text.replace('"m": 1, ', ''))
         with pytest.raises(ParseError, match="JSON object"):
             report_from_json("[1]")
+
+
+class TestReportFromJsonRanges:
+    def test_rejects_out_of_range_document(self):
+        # Once loaded as a report on teams 1-5 and 99 with team_count -3.
+        doc = {"n": -3, "m": 1, "guaranteed_rest_time": 1,
+               "games_played_difference_index": 1, "rest_difference_index": 1,
+               "always_longer_rest_teams": [42, 42],
+               "rest_profiles": {"1": [1], "2": [1], "3": [1], "4": [1], "5": [1],
+                                 "99": [-7]}}
+        with pytest.raises(ParseError, match="malformed metrics report"):
+            report_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("old,new", [
+        ('"n": 5', '"n": 1'),
+        ('"m": 1', '"m": 0'),
+        ('"guaranteed_rest_time": 1', '"guaranteed_rest_time": -1'),
+        ('"games_played_difference_index": 1', '"games_played_difference_index": -1'),
+        ('"rest_difference_index": 1', '"rest_difference_index": -1'),
+        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": [2, 2]'),
+        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": [6]'),
+        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": [0]'),
+        ('"1": [1, 2, 2]', '"1": [1, -7, 2]'),
+        ('"1": [1, 2, 2]', '"99": [1, 2, 2]'),
+        ('"1": [1, 2, 2], ', ''),
+        ('"1": [1, 2, 2]', '"1": [1, 2, 2], "6": []'),
+        ('"1": [1, 2, 2]', '"1": [1, 2, 2], "01": [1, 2, 2]'),
+    ])
+    def test_rejects(self, old, new):
+        text = report_to_json(evaluate(odd_optimal_schedule(5)))
+        assert old in text
+        with pytest.raises(ParseError, match="malformed metrics report"):
+            report_from_json(text.replace(old, new))
+
+    def test_evaluated_reports_round_trip(self, rng):
+        for n in range(2, 10):
+            for m in (1, 2, 3):
+                report = evaluate(random_schedule(rng, n, m))
+                assert report_from_json(report_to_json(report)) == report
 
 
 class TestDuplicationInvariance:

@@ -1,0 +1,78 @@
+"""The package loads its modules on first use, and each command only the
+modules it runs."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import rrsched
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from rrsched import *", namespace)
+    assert set(rrsched.__all__) <= set(namespace)
+    assert set(rrsched.__all__) <= set(dir(rrsched))
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        rrsched.no_such_name
+    with pytest.raises(ImportError):
+        from rrsched import no_such_name  # noqa: F401
+
+
+def _fresh(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_search_names_the_function_whatever_loads_first():
+    # Importing the submodule rrsched.search would bind the module to the
+    # package's "search", the name of the exported function.
+    out = _fresh("import sys, rrsched.search, rrsched.claims\n"
+                 "from rrsched import search\n"
+                 "print(rrsched.search is search is sys.modules['rrsched.search'].search)")
+    assert out == "True\n"
+
+
+# Runs ``python -m rrsched ARGS`` and prints the modules loaded at exit.
+_RUN = """
+import json, runpy, sys
+sys.argv = ["rrsched", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("rrsched", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.stdout.write("\\n" + json.dumps(sorted(sys.modules)))
+"""
+
+_NEVER = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("args,runs,absent", [
+    (["generate", "--teams", "7", "--method", "odd-optimal"], "rrsched.generators",
+     {"rrsched.metrics", "rrsched.search", "rrsched.claims"}),
+    (["evaluate", "SCHEDULE"], "rrsched.metrics",
+     {"rrsched.generators", "rrsched.search", "rrsched.claims"}),
+    (["search", "--teams", "5", "--min-rest", "1", "--mode", "count"], "rrsched.search",
+     {"rrsched.claims"}),
+    (["verify", "--claim", "figure-fixtures"], "rrsched.claims", set()),
+], ids=["generate", "evaluate", "search", "verify"])
+def test_each_command_imports_only_what_it_runs(tmp_path, args, runs, absent):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("n 3\n1 2\n1 3\n2 3\n")
+    args = [str(schedule) if arg == "SCHEDULE" else arg for arg in args]
+    # What the interpreter loads before any rrsched code (site hooks, say)
+    # does not count against a command.
+    before = set(json.loads(_fresh("import sys, json; print(json.dumps(sorted(sys.modules)))")))
+    proc = subprocess.run([sys.executable, "-c", _RUN, json.dumps(args)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.rsplit("\n", 1)[1])) - before
+    assert runs in loaded
+    assert not loaded & (absent | _NEVER)

@@ -470,6 +470,19 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             search(4, SearchConstraints(min_rest=1), jobs=0)
 
+    # 5.0 and limit 1.5 raised a bare TypeError; limit True ran as 1, and
+    # jobs 2.5 and True were accepted.
+    @pytest.mark.parametrize("args,kwargs", [
+        ((5.0,), {}),
+        ((5,), {"mode": "enumerate", "limit": 1.5}),
+        ((5,), {"mode": "enumerate", "limit": True}),
+        ((5,), {"jobs": 2.5}),
+        ((5,), {"jobs": True}),
+    ], ids=["n=5.0", "limit=1.5", "limit=True", "jobs=2.5", "jobs=True"])
+    def test_rejects_non_integer_argument(self, args, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            search(*args, SearchConstraints(min_rest=1), **kwargs)
+
     def test_rejects_negative_constraint(self):
         with pytest.raises(ValueError):
             SearchConstraints(min_rest=-1)
