@@ -84,6 +84,10 @@ def odd_slot_assignment(n: int) -> tuple[tuple[int, ...], ...]:
     Every round seats one team in slot 0 and two in each of slots 1..k, and
     every team sits out exactly one round.
     """
+    # type() rather than isinstance(), as in make_schedule: True is not a
+    # team count.
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd team count >= 3, got {n}")
     k = (n - 1) // 2
@@ -113,7 +117,10 @@ def odd_optimal_schedule(n: int) -> Schedule:
 
 
 def check_duplication_factor(factor: int) -> None:
-    """Raise ``ValueError`` unless :func:`duplicate_rounds` accepts ``factor``."""
+    """Raise ``ValueError`` unless :func:`duplicate_rounds` accepts ``factor``:
+    an ``int`` (not ``bool`` or ``float``) of at least 1."""
+    if type(factor) is not int:
+        raise ValueError(f"duplication factor must be an integer, got {factor!r}")
     if factor < 1:
         raise ValueError(f"duplication factor must be >= 1, got {factor}")
 

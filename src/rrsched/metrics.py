@@ -21,7 +21,6 @@ measure: each is a field of the :class:`MetricsReport` it returns.
 
 from __future__ import annotations
 
-import json
 import reprlib
 
 from .model import ParseError, Schedule, _load_json, _Record, _set_field
@@ -116,6 +115,8 @@ def evaluate(s: Schedule) -> MetricsReport:
 
 def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
     """Structured form of a report; round-trips through :func:`report_from_json`."""
+    import json  # only the structured format loads the json modules
+
     doc = {
         "n": report.team_count,
         "m": report.multiplicity,

@@ -13,7 +13,6 @@ schedules that differ only in the orientation of a game are not equal.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from collections.abc import Sequence
 
@@ -125,8 +124,11 @@ def round_structure(n: int) -> RoundStructure:
     g = floor(n/2) and r = 2*ceil(n/2) - 1, so r*g = n(n-1)/2: rounds are
     consecutive blocks of g games and a single round robin fills r of them.
     The game at 1-based position i is in round (i - 1) // g + 1, counting
-    past r when m > 1.
+    past r when m > 1.  ``n`` must be an ``int`` (not ``bool`` or ``float``),
+    else ``ValueError``.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 teams, got {n}")
     g = n // 2
@@ -296,6 +298,8 @@ def _parse_header_value(tokens: list[str], name: str, lineno: int, minimum: int)
 
 def schedule_to_json(s: Schedule, indent: int | None = None) -> str:
     """Structured form: one document with fields n, m, and games."""
+    import json  # only the structured format loads the json modules
+
     doc = {
         "n": s.team_count,
         "m": s.multiplicity,
@@ -325,6 +329,8 @@ def _lines(text: str) -> list[str]:
 
 def _load_json(data: str | bytes):
     """``json.loads`` with every decoding failure raised as :class:`ParseError`."""
+    import json  # only the structured format loads the json modules
+
     text = _decode(data)
     try:
         return json.loads(text)

@@ -13,28 +13,28 @@ emptiness answers are unaffected; counts are counts of these canonical
 labelings (schedules whose opening game introduces two teams at once still
 have interchangeable labels and are not quotiented further).
 
-One kernel, ``_walk``, serves sequential runs and every worker of a parallel
-run.  It is a recursive closure that places one game per level and undoes it
-on return; it passes the shrinking list of unused pairs down the recursion
-and keeps each team's latest position and, under ``max_gpd``, a histogram of
-games played, so each bound is an O(1) test per candidate pair.  Complete
-schedules go to an ``emit`` callback whose true return ends the walk, which
-serves mode "first" and the ``limit`` of mode "enumerate".
+One function, ``_walk``, is the sequential run, the in-process start of a
+parallel run, each split and each pool task.  It places one game per
+recursion level and undoes it on return; it passes the shrinking list of
+unused pairs down the recursion and keeps each team's latest position and,
+under ``max_gpd``, a histogram of games played, so each bound is an O(1)
+test per candidate pair.  It collects the complete schedules it meets and
+stops at a quota, which serves mode "first" and the ``limit`` of mode
+"enumerate", and returns them with its counts.
 
 A run with ``jobs > 1`` walks in this process until it has spent a node
 budget; a run that ends sooner starts no process.  Past the budget the walk
 records each subtree it would have entered next as a task, a prefix of
 games, in walk order.  The shallowest tasks are split until every worker
-has several, the tasks run in a process pool, and their results are merged
-in walk order, so the outcome and ``nodes_explored`` equal those of one
-walk.
+has several, a process pool's ``map`` walks the tasks, and their results
+are merged in walk order, so the outcome and ``nodes_explored`` equal those
+of one walk.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from itertools import islice
+from itertools import repeat
 from typing import NamedTuple
 
 from .model import Schedule, _Record, _set_field, expected_length
@@ -52,8 +52,6 @@ MODES = ("first", "count", "enumerate")
 _SPLIT_BUDGET = 30_000
 # Subtrees per worker to split the rest of the tree into.
 _TASKS_PER_WORKER = 16
-# Subtrees per worker handed to the pool before the merge reaches them.
-_AHEAD_PER_WORKER = 2
 
 
 class SearchConstraints(_Record):
@@ -104,22 +102,33 @@ class SearchOutcome(_Record):
         _set_field(self, "schedules", schedules)
 
 
-def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
-          prefix: tuple[tuple[int, int], ...], emit, budget: int | None = None,
-          tasks: list | None = None) -> int:
-    """Depth-first walk below the forced ``prefix``; returns the node count.
+class _Walked(NamedTuple):
+    """What one walk found: ``emissions[i]`` was emitted when its node
+    counter read ``emission_nodes[i]`` (both empty in count mode), and it
+    counted ``found`` schedules and ``nodes`` nodes in all."""
+
+    emissions: list[tuple[tuple[int, int], ...]]
+    emission_nodes: list[int]
+    found: int
+    nodes: int
+
+
+def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
+          tasks: list | None = None) -> _Walked:
+    """Depth-first walk below the forced ``prefix``, in this process or in a
+    worker; ``walk`` is ``(n, constraints, symmetry, keep, quota)``.
 
     Each recursion level places one game, trying the unused pairs in
-    ascending order.  The first ``len(prefix)`` levels place only the games
-    of ``prefix``, and of those only the last counts as a node, so the node
+    ascending order.  The first ``len(prefix)`` levels try only the game of
+    ``prefix``, and of those only the last counts as a node, so the node
     counts of the walks below the children of a node add up, with that
-    node, to the count of the walk below it.  ``emit(games, nodes)`` is
-    called at each complete schedule with the live list of placed pairs
-    (copy it to keep it) and the node count so far; a true return stops the
-    walk.  Once ``budget`` nodes are counted the walk places no more games:
-    it appends each later candidate that passes every test to ``tasks``, as
-    the tuple of games that ends with it, in walk order.
+    node, to the count of the walk below it.  Complete schedules are kept
+    when ``keep`` is true, and the walk stops at the ``quota``-th.  Once
+    ``budget`` nodes are counted the walk places no more games: it appends
+    each later candidate that passes every test to ``tasks``, as the tuple
+    of games that ends with it, in walk order.
     """
+    n, constraints, symmetry, keep, quota = walk
     total = expected_length(n)
     rest = constraints.min_rest or 0
     # A rest difference is below the game count, so this bound never prunes.
@@ -130,27 +139,14 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
     hist = [0] * n          # hist[c]: teams that have played c games
     hist[0] = n
     games: list[tuple[int, int]] = []
+    emissions: list[tuple[tuple[int, int], ...]] = []
+    emission_nodes: list[int] = []
+    found = 0
     forced = len(prefix)
     nodes = 1 - forced if forced else 0
-    spent = -1 if budget is None else budget
-    # A candidate that passes every test takes the slow path when the node
-    # count equals ``trip``: at each level of the prefix, then from ``spent``
-    # on.  No count equals -1, so without a budget a walk below the prefix
-    # never takes it.
-    trip = nodes if forced else spent
-
-    def divert(depth, pair):
-        # Whether to pass over a candidate met at the trip count.  Below the
-        # prefix the budget is spent, so the candidate becomes a task; within
-        # the prefix only the prefix's own game is placed.
-        nonlocal trip
-        if depth > forced:
-            tasks.append((*games, pair))
-            return True
-        if pair != prefix[depth - 1]:
-            return True
-        trip = nodes + 1 if depth < forced else spent
-        return False
+    # The count never falls below 1 - forced, so without a budget no count
+    # equals ``spent``.
+    spent = -1 - forced if budget is None else budget
 
     def extend(depth, remaining, cut, cap, low, high):
         # cut: a team whose latest game lies after this position rests less
@@ -158,8 +154,10 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
         # cap: the lowest unseen label under symmetry breaking (n + 1 without):
         #   a pair may introduce cap, or cap and cap + 1, but no higher label.
         # low, high: the fewest and most games played by any team so far.
-        nonlocal nodes
-        for i, pair in enumerate(remaining):
+        nonlocal nodes, found
+        # The prefix game is the last unused pair at its level.
+        for i, pair in (enumerate(remaining) if depth > forced
+                        else enumerate(remaining[-1:], len(remaining) - 1)):
             a, b = pair
             if b > cap and (b > cap + 1 or a != cap):
                 continue
@@ -179,14 +177,17 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
                 lo = low + 1 if hist[low] == (count_a == low) + (count_b == low) else low
                 if hi - lo > gpd:
                     continue
-            if nodes == trip and divert(depth, pair):
+            if nodes == spent:
+                tasks.append((*games, pair))
                 continue
             nodes += 1
-            games.append(pair)
             if depth == total:
-                if emit(games, nodes):
+                found += 1
+                if keep:
+                    emissions.append((*games, pair))
+                    emission_nodes.append(nodes)
+                if found == quota:
                     return True
-                games.pop()
                 continue
             if gpd is not None:
                 counts[a] = count_a + 1
@@ -196,11 +197,13 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
                 hist[count_b] -= 1
                 hist[count_b + 1] += 1
             last[a] = last[b] = depth
+            games.append(pair)
             child = remaining.copy()
             del child[i]
             if extend(depth + 1, child, depth - rest if depth > rest else 0,
                       b + 1 if b >= cap else cap, lo, hi):
                 return True
+            games.pop()
             last[a] = last_a
             last[b] = last_b
             if gpd is not None:
@@ -210,7 +213,6 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
                 hist[count_a + 1] -= 1
                 hist[count_b] += 1
                 hist[count_b + 1] -= 1
-            games.pop()
         return False
 
     # The prefix games go last, in reverse, so that each is the last pair at
@@ -220,7 +222,7 @@ def _walk(n: int, constraints: SearchConstraints, symmetry: bool,
              if (a, b) not in prefix]
     pairs.extend(reversed(prefix))
     extend(1, pairs, 0, 1 if symmetry else n + 1, 0, 0)
-    return nodes
+    return _Walked(emissions, emission_nodes, found, nodes)
 
 
 def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
@@ -267,19 +269,19 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
-    # A walk stops after ``cap`` schedules; count mode keeps none and walks
+    # A walk stops after ``quota`` schedules; count mode keeps none and walks
     # the whole tree.
     keep = mode != "count"
-    cap = 1 if mode == "first" else limit if keep else None
-    walk = (n, constraints, symmetry_breaking, keep, cap)
+    quota = 1 if mode == "first" else limit if keep else None
+    walk = (n, constraints, symmetry_breaking, keep, quota)
     collected: list[tuple[tuple[int, int], ...]] = []
     count = nodes = 0
 
     def merge(walked: _Walked) -> bool:
         # Walks arrive in walk order; stop where a sequential run would have.
         nonlocal count, nodes
-        if cap is not None and len(collected) + walked.found >= cap:
-            take = cap - len(collected)
+        if quota is not None and len(collected) + walked.found >= quota:
+            take = quota - len(collected)
             collected.extend(walked.emissions[:take])
             nodes += walked.emission_nodes[take - 1]
             return True
@@ -292,7 +294,7 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     if workers > 1:
         _search_parallel(walk, workers, merge)
     else:
-        merge(_run_task(walk, ()))
+        merge(_walk(walk, ()))
 
     if not keep:
         return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
@@ -305,48 +307,19 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     return SearchOutcome(mode=mode, nodes_explored=nodes, schedules=schedules)
 
 
-class _Walked(NamedTuple):
-    """What one walk found: ``emissions[i]`` was emitted when its node
-    counter read ``emission_nodes[i]`` (both empty in count mode), and it
-    counted ``found`` schedules and ``nodes`` nodes in all."""
-
-    emissions: list[tuple[tuple[int, int], ...]]
-    emission_nodes: list[int]
-    found: int
-    nodes: int
-
-
-def _run_task(walk, prefix, budget=None, tasks=None) -> _Walked:
-    """Walk the subtree below ``prefix``, in this process or in a worker."""
-    n, constraints, symmetry, keep, cap = walk
-    emissions: list[tuple[tuple[int, int], ...]] = []
-    emission_nodes: list[int] = []
-    found = 0
-
-    def emit(games, nodes):
-        nonlocal found
-        found += 1
-        if keep:
-            emissions.append(tuple(games))
-            emission_nodes.append(nodes)
-        return found == cap
-
-    nodes = _walk(n, constraints, symmetry, prefix, emit, budget, tasks)
-    return _Walked(emissions, emission_nodes, found, nodes)
-
-
 def _search_parallel(walk, workers: int, merge) -> None:
     """Walk in this process until the budget is spent, then the rest in a pool.
 
     The subtrees the budgeted walk leaves are split, shallowest first, until
     there are ``_TASKS_PER_WORKER`` per worker, so that one big subtree does
-    not leave the other workers idle.  Their results are merged in walk
-    order, and no more than ``_AHEAD_PER_WORKER`` per worker are handed to
-    the pool ahead of the merge, so that a run that stops at its cap leaves
-    little work behind.
+    not leave the other workers idle.  The pool's ``map`` runs them and their
+    results are merged in walk order.  The pool feeds its workers only about
+    one task each ahead of the merge, and shutting it down cancels the tasks
+    it has not fed, so a run that stops at its quota leaves little work
+    behind.
     """
     tasks: list[tuple[tuple[int, int], ...]] = []
-    if merge(_run_task(walk, (), _SPLIT_BUDGET, tasks)) or not tasks:
+    if merge(_walk(walk, (), _SPLIT_BUDGET, tasks)) or not tasks:
         return
     # Splitting a task walks its root node here and leaves the root's
     # result in its place, followed by its children as new tasks.
@@ -355,7 +328,7 @@ def _search_parallel(walk, workers: int, merge) -> None:
         at = min((i for i, entry in enumerate(entries) if not isinstance(entry, _Walked)),
                  key=lambda i: len(entries[i]))
         children: list[tuple[tuple[int, int], ...]] = []
-        entries[at:at + 1] = [_run_task(walk, entries[at], 1, children), *children]
+        entries[at:at + 1] = [_walk(walk, entries[at], 1, children), *children]
         tasks = [entry for entry in entries if not isinstance(entry, _Walked)]
     if not tasks:
         # The splits walked the rest of the tree.
@@ -368,17 +341,11 @@ def _search_parallel(walk, workers: int, merge) -> None:
     # to import, and only runs that outlast the budget need them.
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(workers, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers)
-    queued = iter(tasks)
-    ahead: deque = deque()
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
     try:
+        results = pool.map(_walk, repeat(walk), tasks)
         for entry in entries:
-            if not isinstance(entry, _Walked):
-                ahead.extend(pool.submit(_run_task, walk, prefix) for prefix in
-                             islice(queued, _AHEAD_PER_WORKER * workers - len(ahead)))
-                entry = ahead.popleft().result()
-            if merge(entry):
+            if merge(entry if isinstance(entry, _Walked) else next(results)):
                 return
     finally:
         pool.shutdown(cancel_futures=True)

@@ -187,6 +187,20 @@ class TestDuplicateRounds:
         assert len(dup) == 3 and dup.multiplicity == 3
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: circle_schedule(5.0), "n must be an integer"),
+    (lambda: odd_optimal_schedule(7.0), "n must be an integer"),
+    (lambda: odd_slot_assignment(7.0), "n must be an integer"),
+    (lambda: odd_slot_assignment(True), "n must be an integer"),
+    (lambda: duplicate_rounds(circle_schedule(4), 1.5), "factor must be an integer"),
+    (lambda: duplicate_rounds(circle_schedule(4), True), "factor must be an integer"),
+], ids=["circle-5.0", "odd-optimal-7.0", "slots-7.0", "slots-True", "factor-1.5",
+        "factor-True"])
+def test_non_int_counts_are_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestGeneratedSchedulesValidate:
     @pytest.mark.parametrize("n", range(3, 16, 2))
     def test_odd_optimal_revalidates(self, n):

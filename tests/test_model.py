@@ -132,6 +132,11 @@ class TestRoundStructure:
         with pytest.raises(ValueError):
             round_structure(1)
 
+    @pytest.mark.parametrize("n", [5.0, True])
+    def test_rejects_non_int(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            round_structure(n)
+
 
 class TestTextFormat:
     def test_parse_minimal(self):

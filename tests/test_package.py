@@ -1,7 +1,7 @@
 """The package loads its modules on first use, and each command only the
 modules it runs."""
 
-import json
+import ast
 import subprocess
 import sys
 
@@ -40,15 +40,17 @@ def test_search_names_the_function_whatever_loads_first():
     assert out == "True\n"
 
 
-# Runs ``python -m rrsched ARGS`` and prints the modules loaded at exit.
+# Runs ``python -m rrsched ARGS`` and prints the modules loaded at exit.  It
+# imports nothing the commands might, json included, so that what it prints
+# is what the command loaded.
 _RUN = """
-import json, runpy, sys
-sys.argv = ["rrsched", *json.loads(sys.argv[1])]
+import runpy, sys
+sys.argv = ["rrsched", *sys.argv[1:]]
 try:
     runpy.run_module("rrsched", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-sys.stdout.write("\\n" + json.dumps(sorted(sys.modules)))
+sys.stdout.write("\\n" + repr(sorted(sys.modules)))
 """
 
 _NEVER = {"dataclasses", "inspect"}
@@ -56,23 +58,25 @@ _NEVER = {"dataclasses", "inspect"}
 
 @pytest.mark.parametrize("args,runs,absent", [
     (["generate", "--teams", "7", "--method", "odd-optimal"], "rrsched.generators",
+     {"rrsched.metrics", "rrsched.search", "rrsched.claims", "json"}),
+    (["generate", "--teams", "7", "--method", "circle", "--format", "structured"], "json",
      {"rrsched.metrics", "rrsched.search", "rrsched.claims"}),
     (["evaluate", "SCHEDULE"], "rrsched.metrics",
-     {"rrsched.generators", "rrsched.search", "rrsched.claims"}),
+     {"rrsched.generators", "rrsched.search", "rrsched.claims", "json"}),
     (["search", "--teams", "5", "--min-rest", "1", "--mode", "count"], "rrsched.search",
-     {"rrsched.claims"}),
-    (["verify", "--claim", "figure-fixtures"], "rrsched.claims", set()),
-], ids=["generate", "evaluate", "search", "verify"])
+     {"rrsched.claims", "json"}),
+    (["verify", "--claim", "figure-fixtures"], "rrsched.claims", {"json"}),
+], ids=["generate", "generate-structured", "evaluate", "search", "verify"])
 def test_each_command_imports_only_what_it_runs(tmp_path, args, runs, absent):
     schedule = tmp_path / "schedule.txt"
     schedule.write_text("n 3\n1 2\n1 3\n2 3\n")
     args = [str(schedule) if arg == "SCHEDULE" else arg for arg in args]
     # What the interpreter loads before any rrsched code (site hooks, say)
     # does not count against a command.
-    before = set(json.loads(_fresh("import sys, json; print(json.dumps(sorted(sys.modules)))")))
-    proc = subprocess.run([sys.executable, "-c", _RUN, json.dumps(args)],
+    before = set(ast.literal_eval(_fresh("import sys; print(sorted(sys.modules))")))
+    proc = subprocess.run([sys.executable, "-c", _RUN, *args],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.rsplit("\n", 1)[1])) - before
+    loaded = set(ast.literal_eval(proc.stdout.rsplit("\n", 1)[1])) - before
     assert runs in loaded
     assert not loaded & (absent | _NEVER)

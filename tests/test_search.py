@@ -6,7 +6,7 @@ import importlib
 import itertools
 import os
 import signal
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 
 import pytest
 from hypothesis import given, settings
@@ -276,29 +276,44 @@ class TestParallelDeterminism:
         assert par.nodes_explored == seq.nodes_explored
 
 
-class InProcessExecutor:
-    """Stands in for ProcessPoolExecutor: runs each task as it is submitted,
-    in this process, and records the worker count and the tasks."""
+class _RunOnResult(Future):
+    """A future whose call runs when its result is first asked for."""
+
+    def __init__(self, call):
+        super().__init__()
+        self._call = call
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.set_running_or_notify_cancel()
+            try:
+                self.set_result(self._call())
+            except Exception as exc:  # delivered through the future, as a pool does
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class InProcessExecutor(Executor):
+    """Stands in for ProcessPoolExecutor: runs each task in this process when
+    its result is asked for, so the inherited ``map`` runs no task ahead of
+    the merge.  Records the worker count, the results in the order they ran
+    and the ``cancel_futures`` that ``shutdown`` got (None before it)."""
 
     def __init__(self, started, max_workers):
         self.max_workers = max_workers
         self.results = []
-        self.shut_down = False
+        self.cancel_futures = None
         started.append(self)
 
-    def submit(self, fn, *args):
-        future = Future()
-        try:
+    def submit(self, fn, /, *args):
+        def call():
             result = fn(*args)
-        except Exception as exc:  # delivered through the future, as a pool does
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
             self.results.append(result)
-        return future
+            return result
+        return _RunOnResult(call)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
-        self.shut_down = True
+        self.cancel_futures = cancel_futures
 
 
 @pytest.fixture
@@ -348,7 +363,7 @@ class TestBudgetedSplit:
             outcome = search(*case[:4], symmetry_breaking=case[4], jobs=jobs)
             assert outcome == expected, case
         assert started  # the grid did reach the pool
-        assert all(pool.shut_down for pool in started)
+        assert all(pool.cancel_futures is True for pool in started)
 
     def test_worker_count_is_capped_at_the_cpu_count(self, split, monkeypatch):
         set_budget, started = split
@@ -377,9 +392,10 @@ class TestBudgetedSplit:
         assert found == search(6, constraints, mode="first")
         ran = started[1].results
         witness = next(i for i, walked in enumerate(ran) if walked.found)
-        # The task that held the witness, and those already handed out ahead of it.
-        assert len(ran) <= witness + search_module._AHEAD_PER_WORKER * 2
-        assert len(ran) < everything
+        # No task after the one that held the witness ran, and shutting the
+        # pool down cancels those a real pool has not fed to a worker yet.
+        assert len(ran) == witness + 1 < everything
+        assert started[1].cancel_futures is True
 
     def test_real_pool_matches_a_sequential_walk(self, monkeypatch):
         import concurrent.futures
@@ -405,21 +421,21 @@ class TestBudgetedSplit:
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
-        monkeypatch.setattr(search_module, "_run_task", _fail_in_workers)
+        monkeypatch.setattr(search_module, "_walk", _fail_in_workers)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with _deadline(60), pytest.raises(RuntimeError, match="failed in a worker"):
             search(5, SearchConstraints(min_rest=1), mode="count",
                    symmetry_breaking=False, jobs=2)
 
 
-_run_task_here = search_module._run_task
+_walk_here = search_module._walk
 
 
 def _fail_in_workers(walk, prefix, budget=None, tasks=None):
     # This process walks with a budget; the workers walk without one.
     if budget is None:
         raise RuntimeError("failed in a worker")
-    return _run_task_here(walk, prefix, budget, tasks)
+    return _walk_here(walk, prefix, budget, tasks)
 
 
 @contextlib.contextmanager
