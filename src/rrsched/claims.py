@@ -35,8 +35,9 @@ class ClaimReport(_Record):
 def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:
     """Run one named claim and report pass/fail with its evidence.
 
-    Raises ValueError for unknown claims and for team counts of the wrong
-    parity or below the claim's minimum.
+    Raises ValueError for unknown claims and for team counts that are not an
+    ``int`` (``bool`` and ``float`` are rejected), of the wrong parity or
+    below the claim's minimum.
     """
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known claims: {', '.join(CLAIM_NAMES)}")
@@ -44,6 +45,9 @@ def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:
     if parity is None:
         return check(claim, teams)
     n = smallest if teams is None else teams
+    # type() rather than isinstance(), as in search(): True is not a team count.
+    if type(n) is not int:
+        raise ValueError(f"claim {claim!r} needs an integer team count, got {n!r}")
     if n % 2 != parity:
         raise ValueError(f"claim {claim!r} needs an {('even', 'odd')[parity]} "
                          f"team count, got {n}")

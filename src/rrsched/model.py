@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import reprlib
 from collections.abc import Sequence
+from itertools import chain, islice
 
 
 class ScheduleValidationError(ValueError):
@@ -146,7 +147,7 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
     (``bool``, ``float`` and ``str`` are rejected), is a self-pair, has a team
     outside 1..n, or repeats a pair more than ``m`` times.  ``(a, b)`` and
     ``(b, a)`` count as the same pair; games are stored as tuples in the given
-    orientation.
+    orientation, and a game that already is a plain ``tuple`` is stored as is.
     """
     # type() rather than isinstance(): bool is a subclass of int, and True
     # is not a team number.
@@ -196,7 +197,8 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
                 f"pair {(min(a, b), max(a, b))} occurs more than {m} time(s) "
                 f"at game {idx}{extra}", index=idx)
         counts[key] = count
-        normalized.append((a, b))
+        # A tuple subclass (a namedtuple) is rebuilt, so games are plain tuples.
+        normalized.append(game if type(game) is tuple else (a, b))
 
     # Length and per-pair caps together force every pair to appear exactly m times.
     return Schedule(team_count=n, multiplicity=m, games=tuple(normalized))
@@ -212,11 +214,11 @@ def _first_missing_pair(n: int, counts: list[int], m: int) -> tuple[int, int] | 
 
 def serialize_schedule(s: Schedule) -> str:
     """Text form: header line ``n <teams>``, ``m <mult>`` when m > 1, one game per line."""
-    lines = [f"n {s.team_count}"]
+    header = f"n {s.team_count}\n"
     if s.multiplicity != 1:
-        lines.append(f"m {s.multiplicity}")
-    lines.extend(f"{a} {b}" for a, b in s.games)
-    return "\n".join(lines) + "\n"
+        header += f"m {s.multiplicity}\n"
+    # One format over every team number builds no string per game.
+    return header + ("%d %d\n" * len(s.games)) % tuple(chain.from_iterable(s.games))
 
 
 def parse_schedule(data: str | bytes) -> Schedule:
@@ -228,14 +230,23 @@ def parse_schedule(data: str | bytes) -> Schedule:
     maps schedule-validation failures back to the offending game line.
     """
     data = _decode(data)
+    lines = _lines(data)
+    if not lines[-1]:
+        lines.pop()  # the empty rest after the final newline: a bulk pass reads to the end
+    # In ASCII text without a sign or an underscore, int() reads a token
+    # exactly when the token is all digits, as the line loop requires.
+    bulk = data.isascii() and "+" not in data and "-" not in data and "_" not in data
 
     n: int | None = None
     m = 1
     saw_m = False
     games: list[tuple[int, int]] = []
-    game_lines: list[int] = []
+    # Line of each game, indexed like games: a list while the line loop
+    # reads games, a range over the consecutive lines of a bulk body.
+    game_lines: list[int] | range = []
 
-    for lineno, line in enumerate(_lines(data), start=1):
+    numbered = enumerate(lines, start=1)
+    for lineno, line in numbered:
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -256,6 +267,23 @@ def parse_schedule(data: str | bytes) -> Schedule:
             raise ParseError(
                 f"expected header 'n <team_count>' before games at line {lineno}", line=lineno
             )
+        if bulk:
+            # First game line: convert the rest of the body in one pass.  A
+            # line it cannot read (blank, comment, header, wrong token count,
+            # bad or over-long token) stops it, and this loop goes on from
+            # that line.
+            bulk = False
+            try:
+                games.extend((int(a), int(b)) for a, b in map(str.split, lines[lineno - 1:]))
+            except ValueError:
+                if games:  # read up to the stopping line: skip to it
+                    game_lines = list(range(lineno, lineno + len(games)))
+                    skip = len(games) - 1
+                    next(islice(numbered, skip, skip), None)
+                    continue
+            else:
+                game_lines = range(lineno, lineno + len(games))
+                break
         if len(tokens) != 2:
             raise ParseError(
                 f"expected two team numbers at line {lineno}, got {line.strip()!r}", line=lineno
@@ -309,15 +337,17 @@ def schedule_to_json(s: Schedule, indent: int | None = None) -> str:
 
 
 def _decode(data: str | bytes) -> str:
-    """UTF-8 text of ``data``; undecodable bytes raise :class:`ParseError` with their line."""
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode, so their lines can be counted.
-        line = len(_lines(data[:exc.start].decode("utf-8")))
-        raise ParseError(f"invalid UTF-8 at line {line}: {exc.reason}", line=line) from None
+    """UTF-8 text of ``data`` without one leading byte-order mark (U+FEFF);
+    undecodable bytes raise :class:`ParseError` with their line."""
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bytes before the bad one decode, so their lines can be counted.
+            line = len(_lines(data[:exc.start].decode("utf-8")))
+            raise ParseError(f"invalid UTF-8 at line {line}: {exc.reason}",
+                             line=line) from None
+    return data[1:] if data.startswith("\ufeff") else data
 
 
 def _lines(text: str) -> list[str]:
@@ -364,7 +394,7 @@ def schedule_from_json(data: str | bytes) -> Schedule:
 
 def load_schedule(data: str | bytes) -> Schedule:
     """Parse either accepted format, sniffing JSON by a leading ``{``."""
-    text = _decode(data)
-    if text.lstrip().startswith("{"):
-        return schedule_from_json(text)
-    return parse_schedule(text)
+    # Each parser decodes ``data`` itself, so one byte-order mark is dropped.
+    if _decode(data).lstrip().startswith("{"):
+        return schedule_from_json(data)
+    return parse_schedule(data)

@@ -73,6 +73,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least"):
             verify_claim("odd-circle-metrics", 3)
 
+    @pytest.mark.parametrize("claim, teams", [
+        ("odd-rest-bound", 7.0),
+        ("odd-rest-bound", True),
+        ("even-rest-bound", 4.0),
+        ("even-rest-bound", False),
+        ("odd-optimal-metrics", "5"),
+    ])
+    def test_non_int_team_count(self, claim, teams):
+        with pytest.raises(ValueError, match="integer team count"):
+            verify_claim(claim, teams)
+
     def test_fixture_claim_takes_no_team_count(self):
         with pytest.raises(ValueError):
             verify_claim("figure-fixtures", 10)

@@ -176,6 +176,17 @@ class TestEvaluate:
         assert code == 2
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "n 3\n1 2\n1 3\n2 3\n",
+        '{"n": 3, "games": [[1, 2], [1, 3], [2, 3]]}',
+    ])
+    def test_leading_byte_order_mark_is_accepted(self, capsys, tmp_path, text):
+        target = tmp_path / "s.txt"
+        target.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, out, err = run(capsys, "evaluate", str(target))
+        assert (code, err) == (0, "")
+        assert "guaranteed rest time:" in out
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "evaluate", str(tmp_path / "nope.txt"))
         assert code == 2

@@ -141,6 +141,12 @@ class TestEvaluate:
             report_from_json(data.replace(b'"m"', b'"\xff"'))
         assert exc.value.line == 3
 
+    def test_report_after_byte_order_mark(self):
+        report = evaluate(odd_optimal_schedule(5))
+        text = "\ufeff" + report_to_json(report)
+        assert report_from_json(text) == report
+        assert report_from_json(text.encode()) == report
+
     def test_report_json_round_trip_undefined_rest(self):
         report = evaluate(circle_schedule(2))
         again = report_from_json(report_to_json(report, indent=2))

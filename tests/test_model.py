@@ -1,6 +1,7 @@
 """Model layer: validation, round structure, text and structured I/O."""
 
 import sys
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from rrsched import (
     ParseError,
     ScheduleValidationError,
     canonicalize,
+    circle_schedule,
+    duplicate_rounds,
     load_schedule,
     make_schedule,
     parse_schedule,
@@ -111,6 +114,14 @@ class TestMakeSchedule:
         s = make_schedule(3, 1, [[a, b] for a, b in N3_GAMES])
         assert s.games == tuple(N3_GAMES)
         assert all(type(g) is tuple for g in s.games)
+        # A tuple subclass and a list are rebuilt as plain tuples; a plain
+        # tuple is stored as given.
+        game = namedtuple("Game", "a b")
+        mixed = [game(1, 2), [1, 3], (2, 3)]
+        s = make_schedule(3, 1, mixed)
+        assert s.games == tuple(N3_GAMES)
+        assert all(type(g) is tuple for g in s.games)
+        assert s.games[2] is mixed[2]
 
     def test_multiplicity_two(self):
         s = make_schedule(3, 2, N3_GAMES + N3_GAMES)
@@ -270,6 +281,123 @@ class TestTextFormat:
         s = parse_schedule("n 3\n 1  2 \n1 3\n2 3\n")
         assert s == make_schedule(3, 1, N3_GAMES)
 
+    @pytest.mark.parametrize("data", [
+        "\ufeffn 3\n1 2\n1 3\n2 3\n",
+        b"\xef\xbb\xbfn 3\n1 2\n1 3\n2 3\n",
+    ])
+    def test_leading_byte_order_mark_is_dropped(self, data):
+        for parse in (parse_schedule, load_schedule):
+            assert parse(data) == make_schedule(3, 1, N3_GAMES)
+
+    def test_only_one_byte_order_mark_is_dropped(self):
+        for parse in (parse_schedule, load_schedule):
+            with pytest.raises(ParseError) as exc:
+                parse("\ufeff\ufeffn 3\n1 2\n1 3\n2 3\n")
+            assert exc.value.line == 1
+
+
+def _bad_repeat(n, m, games, idx):
+    """A pair that already occurs m times before game ``idx``, and the first
+    pair (in ascending order) that occurs fewer than m times there."""
+    counts = {}
+    for a, b in games[:idx - 1]:
+        key = (min(a, b), max(a, b))
+        counts[key] = counts.get(key, 0) + 1
+    full = [pair for pair, count in counts.items() if count == m]
+    short = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
+             if counts.get((a, b), 0) < m]
+    return (full[0], short[0]) if full else (None, None)
+
+
+_FAULTS = ["self-pair", "team n+1", "repeat", "token x", "token 1_0", "token +1",
+           "token \u0663", "third token"]
+
+
+def _plant(fault, n, m, games, idx, line):
+    """(text of game line idx, expected message) for the fault planted there,
+    or None when it cannot be planted at idx."""
+    a, b = games[idx - 1]
+    if fault == "self-pair":
+        return f"{a} {a}", f"self-pair ({a}, {a}) at game {idx} (line {line})"
+    if fault == "team n+1":
+        return f"{a} {n + 1}", f"team {n + 1} out of range 1..{n} at game {idx} (line {line})"
+    if fault == "repeat":
+        full, short = _bad_repeat(n, m, games, idx)
+        if full is None:
+            return None
+        return (f"{full[1]} {full[0]}",
+                f"pair {full} occurs more than {m} time(s) at game {idx}; "
+                f"pair {short} never occurs (line {line})")
+    if fault == "third token":
+        text = f"{a} {b} 1"
+        return text, f"expected two team numbers at line {line}, got {text!r}"
+    text = f"{a} {fault.split()[1]}"
+    return text, f"non-integer team at line {line}: {text!r}"
+
+
+# Layouts of the same schedule: lines before the header, line ending, final
+# newline, and a line placed before the middle game.
+_LAYOUTS = [
+    ([], "\n", True, None),
+    (["# season one"], "\n", True, None),
+    ([], "\r\n", True, None),
+    ([], "\n", False, None),
+    ([], "\n", True, ""),
+    ([], "\n", True, "# half time"),
+]
+
+
+class TestPlantedFaults:
+    """One fault on each game line in turn, in every layout: the error names
+    the planted line with the same message wherever the body is read."""
+
+    @staticmethod
+    def _serialized(n, m):
+        s = circle_schedule(n) if m == 1 else duplicate_rounds(circle_schedule(n), m)
+        lines = serialize_schedule(s).splitlines()
+        return s, lines[:m], lines[m:]
+
+    @staticmethod
+    def _text(header, body, layout):
+        before, newline, final, middle = layout
+        lines = before + header + body
+        if middle is not None:
+            lines.insert(len(before) + len(header) + len(body) // 2, middle)
+        return newline.join(lines) + (newline if final else "")
+
+    @staticmethod
+    def _line(header, body, layout, idx):
+        before, _, _, middle = layout
+        shifted = middle is not None and idx - 1 >= len(body) // 2
+        return len(before) + len(header) + idx + shifted
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_layouts_parse_to_the_same_schedule(self, n, m):
+        s, header, body = self._serialized(n, m)
+        for layout in _LAYOUTS:
+            assert parse_schedule(self._text(header, body, layout)) == s
+
+    @pytest.mark.parametrize("fault", _FAULTS)
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_error_names_the_planted_line(self, n, m, fault):
+        s, header, body = self._serialized(n, m)
+        planted = 0
+        for layout in _LAYOUTS:
+            for idx in range(1, len(body) + 1):
+                line = self._line(header, body, layout, idx)
+                planting = _plant(fault, n, m, s.games, idx, line)
+                if planting is None:
+                    continue
+                text, message = planting
+                bad = body[:idx - 1] + [text] + body[idx:]
+                with pytest.raises(ParseError) as exc:
+                    parse_schedule(self._text(header, bad, layout))
+                assert (exc.value.line, str(exc.value)) == (line, message)
+                planted += 1
+        assert planted
+
 
 class TestStructuredFormat:
     def test_round_trip(self):
@@ -304,6 +432,13 @@ class TestStructuredFormat:
         depth = 200_000
         with pytest.raises(ParseError, match="nested too deeply"):
             schedule_from_json('{"n": ' + "[" * depth + "]" * depth + "}")
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        s = make_schedule(3, 1, N3_GAMES)
+        text = "\ufeff" + schedule_to_json(s)
+        for parse in (schedule_from_json, load_schedule):
+            assert parse(text) == s
+            assert parse(text.encode()) == s
 
     def test_load_schedule_sniffs_format(self):
         s = make_schedule(3, 1, N3_GAMES)
