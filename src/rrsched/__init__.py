@@ -24,7 +24,6 @@ _EXPORTS = {
     "odd_slot_assignment": "generators",
     "MetricsReport": "metrics",
     "evaluate": "metrics",
-    "report_from_json": "metrics",
     "report_to_json": "metrics",
     "ParseError": "model",
     "RoundStructure": "model",

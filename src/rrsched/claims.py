@@ -35,25 +35,27 @@ class ClaimReport(_Record):
 def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:
     """Run one named claim and report pass/fail with its evidence.
 
-    Raises ValueError for unknown claims and for team counts that are not an
-    ``int`` (``bool`` and ``float`` are rejected), of the wrong parity or
-    below the claim's minimum.
+    Raises ValueError for unknown claims, for a team count given to a claim
+    that takes none, and for team counts that are not an ``int`` (``bool``
+    and ``float`` are rejected), of the wrong parity or below the claim's
+    minimum.
     """
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known claims: {', '.join(CLAIM_NAMES)}")
     check, parity, smallest = _CLAIMS[claim]
-    if parity is None:
-        return check(claim, teams)
-    n = smallest if teams is None else teams
+    if teams is None:
+        return check(claim, None if parity is None else smallest)
+    if smallest is None:
+        raise ValueError(f"claim {claim!r} does not take a team count")
     # type() rather than isinstance(), as in search(): True is not a team count.
-    if type(n) is not int:
-        raise ValueError(f"claim {claim!r} needs an integer team count, got {n!r}")
-    if n % 2 != parity:
+    if type(teams) is not int:
+        raise ValueError(f"claim {claim!r} needs an integer team count, got {teams!r}")
+    if parity is not None and teams % 2 != parity:
         raise ValueError(f"claim {claim!r} needs an {('even', 'odd')[parity]} "
-                         f"team count, got {n}")
-    if n < smallest:
-        raise ValueError(f"claim {claim!r} needs at least {smallest} teams, got {n}")
-    return check(claim, n)
+                         f"team count, got {teams}")
+    if teams < smallest:
+        raise ValueError(f"claim {claim!r} needs at least {smallest} teams, got {teams}")
+    return check(claim, teams)
 
 
 def _metric_triple(report) -> tuple[int | None, int, int]:
@@ -140,9 +142,7 @@ def _always_win(claim: str, n: int) -> ClaimReport:
                            "without an always-better-rested team")
 
 
-def _figure_fixtures(claim: str, teams: int | None) -> ClaimReport:
-    if teams is not None:
-        raise ValueError(f"claim {claim!r} does not take a team count")
+def _figure_fixtures(claim: str, teams: None) -> ClaimReport:
     checks = [
         ("10-team circle, rounds 1-3",
          list(circle_schedule(10).games[:15]), fixtures.TEN_TEAM_CIRCLE_OPENING),
@@ -202,10 +202,10 @@ def _duplication_preserves(claim: str, teams: int | None) -> ClaimReport:
                        details=details)
 
 
-# name: (check, parity of the team count (0 even, 1 odd), smallest team count).
-# A check is called as check(name, n), with n defaulting to the smallest
-# count.  A parity of None means the check takes the raw ``teams`` argument,
-# None included, and validates it itself.
+# name: (check, parity of the team count (0 even, 1 odd, None either),
+# smallest team count (None: the claim takes no team count)).  A check is
+# called as check(name, n), with n defaulting to the smallest count; for a
+# parity of None it defaults to None, and the check picks its own cases.
 _CLAIMS = {
     "even-rest-bound": (_even_rest_bound, 0, 4),
     "even-circle-metrics": (_even_circle_metrics, 0, 4),
@@ -216,7 +216,7 @@ _CLAIMS = {
     "odd-rdi-lemma": (_odd_rdi_lemma, 1, 3),
     "always-win": (_always_win, 1, 3),
     "figure-fixtures": (_figure_fixtures, None, None),
-    "duplication-preserves": (_duplication_preserves, None, None),
+    "duplication-preserves": (_duplication_preserves, None, 3),
 }
 
 CLAIM_NAMES = tuple(_CLAIMS)

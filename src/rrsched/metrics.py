@@ -21,9 +21,7 @@ measure: each is a field of the :class:`MetricsReport` it returns.
 
 from __future__ import annotations
 
-import reprlib
-
-from .model import ParseError, Schedule, _load_json, _Record, _set_field
+from .model import Schedule, _Record, _set_field
 
 
 class MetricsReport(_Record):
@@ -114,7 +112,7 @@ def evaluate(s: Schedule) -> MetricsReport:
 
 
 def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
-    """Structured form of a report; round-trips through :func:`report_from_json`."""
+    """Structured form of a report: a JSON object with teams in ascending order."""
     import json  # only the structured format loads the json modules
 
     doc = {
@@ -127,88 +125,3 @@ def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
         "rest_profiles": {str(t): list(p) for t, p in sorted(report.rest_profiles.items())},
     }
     return json.dumps(doc, indent=indent) + "\n"
-
-
-_REPORT_FIELDS = ("n", "m", "guaranteed_rest_time", "games_played_difference_index",
-                  "rest_difference_index", "always_longer_rest_teams", "rest_profiles")
-
-
-def report_from_json(data: str | bytes) -> MetricsReport:
-    """Parse the structured form of :func:`report_to_json`.
-
-    ``n``, ``m`` and the two difference indices must be JSON integers,
-    ``guaranteed_rest_time`` an integer or null, each rest profile and the
-    team list arrays of integers, and each profile key an unsigned ASCII
-    decimal team number.  The values must also be in range: n >= 2, m >= 1,
-    one profile for each team 1..n, every rest and measure >= 0, and the
-    teams in ``always_longer_rest_teams`` distinct and within 1..n.
-    Anything else raises :class:`ParseError`.
-    """
-    doc = _load_json(data)
-    if not isinstance(doc, dict):
-        raise ParseError("metrics report must be a JSON object")
-    for name in _REPORT_FIELDS:
-        if name not in doc:
-            raise ParseError(f"malformed metrics report: missing field {name!r}")
-    for name in ("n", "m", "games_played_difference_index", "rest_difference_index"):
-        _check_int(doc[name], name)
-    if doc["guaranteed_rest_time"] is not None:
-        _check_int(doc["guaranteed_rest_time"], "guaranteed_rest_time")
-    teams = _check_int_list(doc["always_longer_rest_teams"], "always_longer_rest_teams")
-    n = doc["n"]
-    if n < 2 or doc["m"] < 1:
-        raise ParseError(f"malformed metrics report: need n >= 2 and m >= 1, "
-                         f"got n={n}, m={doc['m']}")
-    for name in ("guaranteed_rest_time", "games_played_difference_index",
-                 "rest_difference_index"):
-        if doc[name] is not None and doc[name] < 0:
-            raise ParseError(f"malformed metrics report: {name} must be >= 0, "
-                             f"got {doc[name]}")
-    if len(set(teams)) != len(teams) or any(not 1 <= t <= n for t in teams):
-        raise ParseError(f"malformed metrics report: always_longer_rest_teams must be "
-                         f"distinct teams within 1..{n}, got {reprlib.repr(teams)}")
-    if not isinstance(doc["rest_profiles"], dict):
-        raise ParseError("malformed metrics report: 'rest_profiles' must be an object")
-    profiles: dict[int, tuple[int, ...]] = {}
-    for key, profile in doc["rest_profiles"].items():
-        # int() alone would also read "1_0" as 10 and non-ASCII digits.
-        if not (key.isdigit() and key.isascii()):
-            raise ParseError(f"malformed metrics report: team key {reprlib.repr(key)}")
-        try:
-            team = int(key)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise ParseError("malformed metrics report: team key too long") from None
-        if team in profiles:  # "1" and "01"
-            raise ParseError(f"malformed metrics report: two profiles for team {key}")
-        profile = _check_int_list(profile, f"rest profile of team {key}")
-        if any(rest < 0 for rest in profile):
-            raise ParseError(f"malformed metrics report: negative rest in the profile "
-                             f"of team {key}")
-        profiles[team] = tuple(profile)
-    # n distinct teams within 1..n are exactly 1..n.
-    if len(profiles) != n or any(not 1 <= t <= n for t in profiles):
-        raise ParseError(f"malformed metrics report: rest profiles must be keyed by "
-                         f"the teams 1..{n}, got {reprlib.repr(sorted(profiles))}")
-    return MetricsReport(
-        team_count=n,
-        multiplicity=doc["m"],
-        guaranteed_rest_time=doc["guaranteed_rest_time"],
-        games_played_difference_index=doc["games_played_difference_index"],
-        rest_difference_index=doc["rest_difference_index"],
-        rest_profiles=profiles,
-        always_longer_rest_teams=frozenset(teams),
-    )
-
-
-def _check_int(value, name: str) -> None:
-    # type() rather than isinstance(), as in make_schedule: JSON true is not 1.
-    if type(value) is not int:
-        raise ParseError(f"malformed metrics report: {name} must be an integer, "
-                         f"got {reprlib.repr(value)}")
-
-
-def _check_int_list(value, name: str) -> list[int]:
-    if type(value) is not list or any(type(item) is not int for item in value):
-        raise ParseError(f"malformed metrics report: {name} must be an array of "
-                         f"integers, got {reprlib.repr(value)}")
-    return value

@@ -247,6 +247,8 @@ def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
         )
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if limit is not None and mode != "enumerate":
+        raise ValueError(f"limit applies only to mode 'enumerate', got mode {mode!r}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if jobs < 1:
@@ -260,12 +262,13 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 
     Modes: "first" returns the lexicographically first satisfying schedule
     (or None), "count" counts all of them, "enumerate" collects up to
-    ``limit`` of them in lexicographic order.  Results, ``nodes_explored``
-    included, do not depend on ``jobs``.  With ``jobs > 1`` the walk starts
-    in this process; a run that ends within a fixed node budget starts no
-    worker process.  Otherwise the subtrees left unwalked go to a pool of at
-    most ``min(jobs, os.cpu_count())`` worker processes, and their results
-    are merged in walk order.
+    ``limit`` of them in lexicographic order; another mode with a ``limit``
+    raises ``ValueError``.  Results, ``nodes_explored`` included, do not
+    depend on ``jobs``.  With ``jobs > 1`` the walk starts in this process;
+    a run that ends within a fixed node budget starts no worker process.
+    Otherwise the subtrees left unwalked go to a pool of at most
+    ``min(jobs, os.cpu_count())`` worker processes, and their results are
+    merged in walk order.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)

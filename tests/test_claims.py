@@ -1,8 +1,13 @@
 """Claim registry: every named verification runs and reports honestly."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from rrsched import CLAIM_NAMES, verify_claim
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestDefaults:
@@ -87,3 +92,22 @@ class TestValidation:
     def test_fixture_claim_takes_no_team_count(self):
         with pytest.raises(ValueError):
             verify_claim("figure-fixtures", 10)
+
+    # b is undefined for two teams before duplication, so n = 2 once failed
+    # the claim; the others were refused by a generator, in its own words.
+    @pytest.mark.parametrize("teams, message", [
+        (2, "at least 3 teams"),
+        (1, "at least 3 teams"),
+        (7.0, "integer team count"),
+        (True, "integer team count"),
+    ])
+    def test_duplication_team_count(self, teams, message):
+        with pytest.raises(ValueError, match=message):
+            verify_claim("duplication-preserves", teams)
+
+
+def test_readme_lists_every_claim_in_order():
+    match = re.search(r"^Claims: (.*?)\.$", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+    assert match, "README has no 'Claims:' list"
+    assert tuple(re.findall(r"`([^`]+)`", match.group(1))) == CLAIM_NAMES

@@ -1,6 +1,7 @@
 """Command-line surface: flags, formats, exit codes."""
 
 import io
+import json
 import subprocess
 import sys
 
@@ -12,7 +13,6 @@ from rrsched import (
     load_schedule,
     make_schedule,
     odd_optimal_schedule,
-    report_from_json,
     schedule_from_json,
     serialize_schedule,
 )
@@ -123,10 +123,11 @@ class TestEvaluate:
         target.write_text(FIVE_TEAM_TEXT)
         code, out, _ = run(capsys, "evaluate", str(target), "--format", "structured")
         assert code == 0
-        report = report_from_json(out)
-        assert (report.guaranteed_rest_time,
-                report.games_played_difference_index,
-                report.rest_difference_index) == (1, 1, 1)
+        doc = json.loads(out)
+        assert (doc["n"], doc["m"]) == (5, 1)
+        assert (doc["guaranteed_rest_time"],
+                doc["games_played_difference_index"],
+                doc["rest_difference_index"]) == (1, 1, 1)
 
     def test_structured_input_accepted(self, capsys, tmp_path):
         target = tmp_path / "s.json"
@@ -148,10 +149,10 @@ class TestEvaluate:
         target.write_text(serialize_schedule(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE)))
         code, out, _ = run(capsys, "evaluate", str(target), "--format", "structured")
         assert code == 0
-        report = report_from_json(out)
-        assert (report.guaranteed_rest_time,
-                report.games_played_difference_index,
-                report.rest_difference_index) == (2, 1, 1)
+        doc = json.loads(out)
+        assert (doc["guaranteed_rest_time"],
+                doc["games_played_difference_index"],
+                doc["rest_difference_index"]) == (2, 1, 1)
 
     def test_truncated_file_exits_2(self, capsys, tmp_path):
         target = tmp_path / "bad.txt"
@@ -250,6 +251,14 @@ class TestSearch:
                            "--mode", "enumerate", "--limit", "0")
         assert code == 2
 
+    # count once printed "count: 8" and exited 0, ignoring the limit.
+    @pytest.mark.parametrize("mode", ["first", "count"])
+    def test_limit_outside_enumerate_exits_2(self, capsys, mode):
+        code, out, err = run(capsys, "search", "--teams", "5", "--min-rest", "1",
+                             "--mode", mode, "--limit", "1")
+        assert (code, out) == (2, "")
+        assert "limit applies only to mode 'enumerate'" in err
+
 
 class TestVerify:
     def test_pass_exits_0(self, capsys):
@@ -270,6 +279,13 @@ class TestVerify:
     def test_parity_mismatch_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "odd-rest-bound", "--teams", "4")
         assert code == 2
+
+    # b is undefined for two teams, so the claim once failed there and exited 1.
+    def test_duplication_below_three_teams_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--claim", "duplication-preserves",
+                             "--teams", "2")
+        assert (code, out) == (2, "")
+        assert "at least 3 teams" in err
 
     def test_help_lists_every_claim(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a name
@@ -313,8 +329,8 @@ class TestEntryPoints:
             [sys.executable, "-m", "rrsched", "evaluate", "--format", "structured"],
             input=gen.stdout, capture_output=True, text=True)
         assert ev.returncode == 0
-        report = report_from_json(ev.stdout)
-        assert report.guaranteed_rest_time == 2
+        doc = json.loads(ev.stdout)
+        assert (doc["n"], doc["guaranteed_rest_time"]) == (7, 2)
 
     def test_missing_subcommand_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "rrsched"],

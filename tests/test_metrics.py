@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsched import (
-    ParseError,
     circle_schedule,
     duplicate_rounds,
     evaluate,
     make_schedule,
     odd_optimal_schedule,
-    report_from_json,
     report_to_json,
 )
 
@@ -128,94 +126,39 @@ class TestEvaluate:
 
     def test_report_json_round_trip(self):
         report = evaluate(odd_optimal_schedule(5))
-        assert report_from_json(report_to_json(report)) == report
-
-    def test_report_deep_nesting_is_a_parse_error(self):
-        depth = 200_000
-        with pytest.raises(ParseError, match="nested too deeply"):
-            report_from_json('{"n": ' + "[" * depth + "]" * depth + "}")
-
-    def test_report_non_utf8_is_a_parse_error(self):
-        data = report_to_json(evaluate(odd_optimal_schedule(5)), indent=2).encode()
-        with pytest.raises(ParseError, match="invalid UTF-8") as exc:
-            report_from_json(data.replace(b'"m"', b'"\xff"'))
-        assert exc.value.line == 3
-
-    def test_report_after_byte_order_mark(self):
-        report = evaluate(odd_optimal_schedule(5))
-        text = "\ufeff" + report_to_json(report)
-        assert report_from_json(text) == report
-        assert report_from_json(text.encode()) == report
+        doc = _check_written(report)
+        assert doc["always_longer_rest_teams"] == [2]
+        assert doc["rest_profiles"]["1"] == [1, 2, 2]
 
     def test_report_json_round_trip_undefined_rest(self):
-        report = evaluate(circle_schedule(2))
-        again = report_from_json(report_to_json(report, indent=2))
-        assert again == report and again.guaranteed_rest_time is None
+        doc = _check_written(evaluate(circle_schedule(2)), indent=2)
+        assert doc["guaranteed_rest_time"] is None
 
 
-class TestReportFromJsonTypes:
-    # Each of these was once read into a report: "1_0" as team 10, "23" as
-    # frozenset({'2', '3'}), "12" as the profile ('1', '2').
-    @pytest.mark.parametrize("old,new", [
-        ('"n": 5', '"n": "five"'),
-        ('"n": 5', '"n": true'),
-        ('"guaranteed_rest_time": 1', '"guaranteed_rest_time": "x"'),
-        ('"1": [', '"1_0": ['),
-        ('"1": [', '"\u0661": ['),
-        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": "23"'),
-        ('"1": [1, 2, 2]', '"1": "12"'),
-    ])
-    def test_rejects(self, old, new):
-        text = report_to_json(evaluate(odd_optimal_schedule(5)))
-        assert old in text
-        with pytest.raises(ParseError, match="malformed metrics report"):
-            report_from_json(text.replace(old, new))
-
-    def test_rejects_missing_field_and_non_object(self):
-        text = report_to_json(evaluate(odd_optimal_schedule(5)))
-        with pytest.raises(ParseError, match="missing field 'm'"):
-            report_from_json(text.replace('"m": 1, ', ''))
-        with pytest.raises(ParseError, match="JSON object"):
-            report_from_json("[1]")
+def _check_written(report, indent=None):
+    """Assert that report_to_json writes ``report``'s fields: teams in
+    ascending order, profile keys as strings, profiles as arrays, and null
+    for an undefined rest time.  Returns the decoded document."""
+    teams = range(1, report.team_count + 1)
+    doc = json.loads(report_to_json(report, indent=indent))
+    assert doc == {
+        "n": report.team_count,
+        "m": report.multiplicity,
+        "guaranteed_rest_time": report.guaranteed_rest_time,
+        "games_played_difference_index": report.games_played_difference_index,
+        "rest_difference_index": report.rest_difference_index,
+        "always_longer_rest_teams": sorted(report.always_longer_rest_teams),
+        "rest_profiles": {str(t): list(report.rest_profiles[t]) for t in teams},
+    }
+    assert list(doc["rest_profiles"]) == [str(t) for t in teams]
+    return doc
 
 
-class TestReportFromJsonRanges:
-    def test_rejects_out_of_range_document(self):
-        # Once loaded as a report on teams 1-5 and 99 with team_count -3.
-        doc = {"n": -3, "m": 1, "guaranteed_rest_time": 1,
-               "games_played_difference_index": 1, "rest_difference_index": 1,
-               "always_longer_rest_teams": [42, 42],
-               "rest_profiles": {"1": [1], "2": [1], "3": [1], "4": [1], "5": [1],
-                                 "99": [-7]}}
-        with pytest.raises(ParseError, match="malformed metrics report"):
-            report_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("old,new", [
-        ('"n": 5', '"n": 1'),
-        ('"m": 1', '"m": 0'),
-        ('"guaranteed_rest_time": 1', '"guaranteed_rest_time": -1'),
-        ('"games_played_difference_index": 1', '"games_played_difference_index": -1'),
-        ('"rest_difference_index": 1', '"rest_difference_index": -1'),
-        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": [2, 2]'),
-        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": [6]'),
-        ('"always_longer_rest_teams": [2]', '"always_longer_rest_teams": [0]'),
-        ('"1": [1, 2, 2]', '"1": [1, -7, 2]'),
-        ('"1": [1, 2, 2]', '"99": [1, 2, 2]'),
-        ('"1": [1, 2, 2], ', ''),
-        ('"1": [1, 2, 2]', '"1": [1, 2, 2], "6": []'),
-        ('"1": [1, 2, 2]', '"1": [1, 2, 2], "01": [1, 2, 2]'),
-    ])
-    def test_rejects(self, old, new):
-        text = report_to_json(evaluate(odd_optimal_schedule(5)))
-        assert old in text
-        with pytest.raises(ParseError, match="malformed metrics report"):
-            report_from_json(text.replace(old, new))
-
+class TestReportToJson:
     def test_evaluated_reports_round_trip(self, rng):
         for n in range(2, 10):
             for m in (1, 2, 3):
-                report = evaluate(random_schedule(rng, n, m))
-                assert report_from_json(report_to_json(report)) == report
+                _check_written(evaluate(random_schedule(rng, n, m)))
 
 
 class TestDuplicationInvariance:

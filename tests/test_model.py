@@ -70,8 +70,19 @@ class TestMakeSchedule:
         with pytest.raises(ScheduleValidationError) as exc:
             make_schedule(3, 1, [(1, 2), (1, 3), (1, 2)])
         assert exc.value.index == 3
-        assert "(1, 2)" in str(exc.value)
-        assert "(2, 3)" in str(exc.value)  # names the missing pair too
+        assert str(exc.value) == "pair (1, 2) occurs more than 1 time(s) at game 3"
+
+    # Both once ended "; pair (1, 3) never occurs", naming a pair that the
+    # schedule holds: the first pair seen fewer than m times so far.
+    @pytest.mark.parametrize("m, games, idx", [
+        (1, [(1, 2), (1, 2), (1, 3)], 2),
+        (2, [(1, 2), (1, 3), (1, 2), (1, 2), (2, 3), (2, 3)], 4),
+    ])
+    def test_repeat_message_names_only_the_repeated_pair(self, m, games, idx):
+        with pytest.raises(ScheduleValidationError) as exc:
+            make_schedule(3, m, games)
+        assert exc.value.index == idx
+        assert str(exc.value) == f"pair (1, 2) occurs more than {m} time(s) at game {idx}"
 
     def test_five_team_reference_schedule_valid(self):
         s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
@@ -296,17 +307,13 @@ class TestTextFormat:
             assert exc.value.line == 1
 
 
-def _bad_repeat(n, m, games, idx):
-    """A pair that already occurs m times before game ``idx``, and the first
-    pair (in ascending order) that occurs fewer than m times there."""
+def _bad_repeat(m, games, idx):
+    """A pair that already occurs m times before game ``idx``, or None."""
     counts = {}
     for a, b in games[:idx - 1]:
         key = (min(a, b), max(a, b))
         counts[key] = counts.get(key, 0) + 1
-    full = [pair for pair, count in counts.items() if count == m]
-    short = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
-             if counts.get((a, b), 0) < m]
-    return (full[0], short[0]) if full else (None, None)
+    return next((pair for pair, count in counts.items() if count == m), None)
 
 
 _FAULTS = ["self-pair", "team n+1", "repeat", "token x", "token 1_0", "token +1",
@@ -322,12 +329,11 @@ def _plant(fault, n, m, games, idx, line):
     if fault == "team n+1":
         return f"{a} {n + 1}", f"team {n + 1} out of range 1..{n} at game {idx} (line {line})"
     if fault == "repeat":
-        full, short = _bad_repeat(n, m, games, idx)
+        full = _bad_repeat(m, games, idx)
         if full is None:
             return None
         return (f"{full[1]} {full[0]}",
-                f"pair {full} occurs more than {m} time(s) at game {idx}; "
-                f"pair {short} never occurs (line {line})")
+                f"pair {full} occurs more than {m} time(s) at game {idx} (line {line})")
     if fault == "third token":
         text = f"{a} {b} 1"
         return text, f"expected two team numbers at line {line}, got {text!r}"

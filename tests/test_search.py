@@ -480,6 +480,12 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             search(4, SearchConstraints(min_rest=1), mode="enumerate", limit=0)
 
+    # Both modes once ran as if no limit were given.
+    @pytest.mark.parametrize("mode", ["first", "count"])
+    def test_rejects_limit_outside_enumerate(self, mode):
+        with pytest.raises(ValueError, match="only to mode 'enumerate'"):
+            search(5, SearchConstraints(min_rest=1), mode=mode, limit=1)
+
     def test_rejects_bad_mode_and_jobs(self):
         with pytest.raises(ValueError):
             search(4, SearchConstraints(min_rest=1), mode="all")
