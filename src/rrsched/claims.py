@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import fixtures
 from .generators import circle_schedule, duplicate_rounds, odd_optimal_schedule
 from .metrics import evaluate
-from .model import Schedule, _Record, _set_field
+from .model import Schedule, _check_count, _Record, _set_field
 from .search import SearchConstraints, search
 
 
@@ -47,14 +47,10 @@ def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:
         return check(claim, None if parity is None else smallest)
     if smallest is None:
         raise ValueError(f"claim {claim!r} does not take a team count")
-    # type() rather than isinstance(), as in search(): True is not a team count.
-    if type(teams) is not int:
-        raise ValueError(f"claim {claim!r} needs an integer team count, got {teams!r}")
+    _check_count(f"claim {claim!r} team count", teams, smallest)
     if parity is not None and teams % 2 != parity:
         raise ValueError(f"claim {claim!r} needs an {('even', 'odd')[parity]} "
                          f"team count, got {teams}")
-    if teams < smallest:
-        raise ValueError(f"claim {claim!r} needs at least {smallest} teams, got {teams}")
     return check(claim, teams)
 
 

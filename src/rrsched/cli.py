@@ -98,16 +98,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    from .generators import (
-        check_duplication_factor,
-        circle_schedule,
-        duplicate_rounds,
-        odd_optimal_schedule,
-    )
-    from .model import schedule_to_json, serialize_schedule
+    from .generators import circle_schedule, duplicate_rounds, odd_optimal_schedule
+    from .model import _check_count, schedule_to_json, serialize_schedule
 
     # Checked first: a bad factor should not wait for a large schedule.
-    check_duplication_factor(args.multiplicity)
+    _check_count("duplication factor", args.multiplicity, 1)
     generate = {"circle": circle_schedule, "odd-optimal": odd_optimal_schedule}[args.method]
     schedule = generate(args.teams)
     if args.multiplicity != 1:

@@ -14,7 +14,7 @@ Two single-round-robin generators plus a round-duplication operator:
 
 from __future__ import annotations
 
-from .model import Schedule, make_schedule, round_structure
+from .model import Schedule, _check_count, make_schedule, round_structure
 
 _DUMMY = 0
 
@@ -84,12 +84,9 @@ def odd_slot_assignment(n: int) -> tuple[tuple[int, ...], ...]:
     Every round seats one team in slot 0 and two in each of slots 1..k, and
     every team sits out exactly one round.
     """
-    # type() rather than isinstance(), as in make_schedule: True is not a
-    # team count.
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"need an odd team count >= 3, got {n}")
+    _check_count("n", n, 3)
+    if n % 2 == 0:
+        raise ValueError(f"need an odd team count, got {n}")
     k = (n - 1) // 2
     return tuple(
         tuple(_odd_slot(n, k, team, j) for team in range(1, n + 1))
@@ -116,15 +113,6 @@ def odd_optimal_schedule(n: int) -> Schedule:
     return make_schedule(n, 1, games)
 
 
-def check_duplication_factor(factor: int) -> None:
-    """Raise ``ValueError`` unless :func:`duplicate_rounds` accepts ``factor``:
-    an ``int`` (not ``bool`` or ``float``) of at least 1."""
-    if type(factor) is not int:
-        raise ValueError(f"duplication factor must be an integer, got {factor!r}")
-    if factor < 1:
-        raise ValueError(f"duplication factor must be >= 1, got {factor}")
-
-
 def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     """Repeat each round block ``factor`` times, giving multiplicity ``factor``.
 
@@ -135,7 +123,7 @@ def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     unchanged as well.  Byes stretch with the factor, so odd-team schedules
     come out with a larger rest difference index than they started with.
     """
-    check_duplication_factor(factor)
+    _check_count("duplication factor", factor, 1)
     if s.multiplicity != 1:
         raise ValueError(f"can only duplicate a single round robin, got m={s.multiplicity}")
     g = round_structure(s.team_count).g

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import reprlib
 from collections.abc import Sequence
-from itertools import chain, islice
+from itertools import chain
 
 
 class ScheduleValidationError(ValueError):
@@ -114,6 +114,16 @@ class RoundStructure(_Record):
         _set_field(self, "r", r)
 
 
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` of at least ``minimum``."""
+    # type() rather than isinstance(): bool is a subclass of int, and True
+    # is not a count.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def expected_length(n: int, m: int = 1) -> int:
     """Number of games in an m-fold round robin on n teams."""
     return m * n * (n - 1) // 2
@@ -125,13 +135,10 @@ def round_structure(n: int) -> RoundStructure:
     g = floor(n/2) and r = 2*ceil(n/2) - 1, so r*g = n(n-1)/2: rounds are
     consecutive blocks of g games and a single round robin fills r of them.
     The game at 1-based position i is in round (i - 1) // g + 1, counting
-    past r when m > 1.  ``n`` must be an ``int`` (not ``bool`` or ``float``),
-    else ``ValueError``.
+    past r when m > 1.  ``n`` is a count of at least 2 (see
+    :func:`_check_count`).
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"need at least 2 teams, got {n}")
+    _check_count("n", n, 2)
     g = n // 2
     r = 2 * ((n + 1) // 2) - 1
     return RoundStructure(n=n, g=g, r=r)
@@ -141,7 +148,7 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
     """Validate a sequence of ``(a, b)`` games and return the Schedule.
 
     The text and JSON parsers and the generators all meet this one check.
-    ``n`` and ``m`` must be ints with n >= 2 and m >= 1, else ``ValueError``.
+    ``n`` and ``m`` are counts of at least 2 and 1 (see :func:`_check_count`).
     :class:`ScheduleValidationError` reports a wrong game count (no index), or
     by 1-based ``index`` the first game that is not two ``int`` teams
     (``bool``, ``float`` and ``str`` are rejected), is a self-pair, has a team
@@ -149,15 +156,8 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
     ``(b, a)`` count as the same pair; games are stored as tuples in the given
     orientation, and a game that already is a plain ``tuple`` is stored as is.
     """
-    # type() rather than isinstance(): bool is a subclass of int, and True
-    # is not a team number.
-    if type(n) is not int or type(m) is not int:
-        raise ValueError(f"n and m must be integers, got {type(n).__name__} "
-                         f"and {type(m).__name__}")
-    if n < 2:
-        raise ValueError(f"need at least 2 teams, got {n}")
-    if m < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {m}")
+    _check_count("n", n, 2)
+    _check_count("m", m, 1)
     if not games:
         raise ScheduleValidationError("empty game sequence")
 
@@ -214,66 +214,79 @@ def serialize_schedule(s: Schedule) -> str:
 def parse_schedule(data: str | bytes) -> Schedule:
     """Parse the text form; inverse of :func:`serialize_schedule`.
 
-    Comment lines start with ``#`` and blank lines are ignored.  Teams and
-    header values are unsigned ASCII decimal integers.  Raises
+    Comment lines start with ``#`` and blank lines are ignored, anywhere.
+    Teams and header values are unsigned ASCII decimal integers.  Raises
     :class:`ParseError` with the 1-based line number on malformed input, and
     maps schedule-validation failures back to the offending game line.
     """
     data = _decode(data)
     lines = _lines(data)
-    if not lines[-1]:
-        lines.pop()  # the empty rest after the final newline: a bulk pass reads to the end
-    # In ASCII text without a sign or an underscore, int() reads a token
-    # exactly when the token is all digits, as the line loop requires.
-    bulk = data.isascii() and "+" not in data and "-" not in data and "_" not in data
 
     n: int | None = None
     m = 1
     saw_m = False
-    games: list[tuple[int, int]] = []
-    # Line of each game, indexed like games: a list while the line loop
-    # reads games, a range over the consecutive lines of a bulk body.
-    game_lines: list[int] | range = []
-
-    numbered = enumerate(lines, start=1)
-    for lineno, line in numbered:
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         if tokens[0] == "n":
             if n is not None:
                 raise ParseError(f"duplicate 'n' header at line {lineno}", line=lineno)
-            if games:
-                raise ParseError(f"'n' header after games at line {lineno}", line=lineno)
             n = _parse_header_value(tokens, "n", lineno, minimum=2)
-            continue
-        if tokens[0] == "m":
-            if n is None or saw_m or games:
+        elif tokens[0] == "m":
+            if n is None or saw_m:
                 raise ParseError(f"misplaced 'm' header at line {lineno}", line=lineno)
             m = _parse_header_value(tokens, "m", lineno, minimum=1)
             saw_m = True
-            continue
-        if n is None:
+        elif n is None:
             raise ParseError(
                 f"expected header 'n <team_count>' before games at line {lineno}", line=lineno
             )
-        if bulk:
-            # First game line: convert the rest of the body in one pass.  A
-            # line it cannot read (blank, comment, header, wrong token count,
-            # bad or over-long token) stops it, and this loop goes on from
-            # that line.
-            bulk = False
-            try:
-                games.extend((int(a), int(b)) for a, b in map(str.split, lines[lineno - 1:]))
-            except ValueError:
-                if games:  # read up to the stopping line: skip to it
-                    game_lines = list(range(lineno, lineno + len(games)))
-                    skip = len(games) - 1
-                    next(islice(numbered, skip, skip), None)
-                    continue
+        else:
+            break  # the first game line
+    else:
+        lineno = len(lines) + 1  # no game line: the body is empty
+    if n is None:
+        raise ParseError("missing 'n <team_count>' header")
+    body = lines[lineno - 1:]
+
+    # The body in one pass.  In ASCII text without a sign or an underscore,
+    # int() reads a token exactly when it is all digits, as _game_rows
+    # requires; _game_rows reads any other body, and one this pass cannot.
+    games = None
+    if data.isascii() and "+" not in data and "-" not in data and "_" not in data:
+        rows = filter(None, map(str.split, body))
+        try:
+            if "#" in data:  # a comment test on every row costs plain bodies ~10%
+                games = [(int(a), int(b)) for row in rows if row[0][0] != "#"
+                         for a, b in (row,)]
             else:
-                game_lines = range(lineno, lineno + len(games))
-                break
+                games = [(int(a), int(b)) for a, b in rows]
+        except ValueError:  # a header, a bad token or a wrong token count
+            pass
+    if games is None:
+        games = [game for _, game in _game_rows(body, lineno)]
+    try:
+        return make_schedule(n, m, games)
+    except ScheduleValidationError as exc:
+        if exc.index is None:
+            raise ParseError(str(exc)) from exc
+        line = [line for line, _ in _game_rows(body, lineno)][exc.index - 1]
+        raise ParseError(f"{exc} (line {line})", line=line) from exc
+
+
+def _game_rows(body: list[str], first: int):
+    """Yield ``(line number, game)`` for each game line of ``body``, whose
+    first line is line ``first``; raise :class:`ParseError` at the first
+    line that is neither a game, a comment nor blank."""
+    for lineno, line in enumerate(body, start=first):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "n":
+            raise ParseError(f"duplicate 'n' header at line {lineno}", line=lineno)
+        if tokens[0] == "m":
+            raise ParseError(f"misplaced 'm' header at line {lineno}", line=lineno)
         if len(tokens) != 2:
             raise ParseError(
                 f"expected two team numbers at line {lineno}, got {line.strip()!r}", line=lineno
@@ -284,20 +297,10 @@ def parse_schedule(data: str | bytes) -> Schedule:
             raise ParseError(f"non-integer team at line {lineno}: {line.strip()!r}",
                              line=lineno)
         try:
-            games.append((int(a), int(b)))
+            game = int(a), int(b)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise ParseError(f"team number too long at line {lineno}", line=lineno) from None
-        game_lines.append(lineno)
-
-    if n is None:
-        raise ParseError("missing 'n <team_count>' header")
-    try:
-        return make_schedule(n, m, games)
-    except ScheduleValidationError as exc:
-        if exc.index is not None:
-            raise ParseError(f"{exc} (line {game_lines[exc.index - 1]})",
-                             line=game_lines[exc.index - 1]) from exc
-        raise ParseError(str(exc)) from exc
+        yield lineno, game
 
 
 def _parse_header_value(tokens: list[str], name: str, lineno: int, minimum: int) -> int:

@@ -37,7 +37,7 @@ import os
 from itertools import repeat
 from typing import NamedTuple
 
-from .model import Schedule, _Record, _set_field, expected_length
+from .model import Schedule, _check_count, _Record, _set_field, expected_length
 
 DEFAULT_TEAM_CEILING = 8
 # Unconstrained runs visit every ordering of the n(n-1)/2 games: 15! already
@@ -65,14 +65,8 @@ class SearchConstraints(_Record):
                  max_rdi: int | None = None):
         for name, value in (("min_rest", min_rest), ("max_gpd", max_gpd),
                             ("max_rdi", max_rdi)):
-            if value is None:
-                continue
-            # type() rather than isinstance(), as in make_schedule: True is
-            # not a bound.
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value is not None:
+                _check_count(name, value, 0)
         _set_field(self, "min_rest", min_rest)
         _set_field(self, "max_gpd", max_gpd)
         _set_field(self, "max_rdi", max_rdi)
@@ -226,16 +220,10 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
 
 
 def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
-    checked = [("n", n), ("jobs", jobs)]
+    _check_count("n", n, 3)
+    _check_count("jobs", jobs, 1)
     if limit is not None:
-        checked.append(("limit", limit))
-    for name, value in checked:
-        # type() rather than isinstance(), as in make_schedule: True is not a
-        # count.
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n < 3:
-        raise ValueError(f"search needs at least 3 teams, got {n}")
+        _check_count("limit", limit, 1)
     if n > DEFAULT_TEAM_CEILING and not allow_large:
         raise ValueError(
             f"search above {DEFAULT_TEAM_CEILING} teams is refused without allow_large"
@@ -249,10 +237,6 @@ def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if limit is not None and mode != "enumerate":
         raise ValueError(f"limit applies only to mode 'enumerate', got mode {mode!r}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
 def search(n: int, constraints: SearchConstraints | None = None, mode: str = "first",

@@ -73,9 +73,9 @@ class TestValidation:
             verify_claim("odd-optimal-metrics", 6)
 
     def test_below_minimum(self):
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(ValueError, match="team count must be >= "):
             verify_claim("even-impossibility", 4)
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(ValueError, match="team count must be >= "):
             verify_claim("odd-circle-metrics", 3)
 
     @pytest.mark.parametrize("claim, teams", [
@@ -86,7 +86,7 @@ class TestValidation:
         ("odd-optimal-metrics", "5"),
     ])
     def test_non_int_team_count(self, claim, teams):
-        with pytest.raises(ValueError, match="integer team count"):
+        with pytest.raises(ValueError, match="team count must be an integer"):
             verify_claim(claim, teams)
 
     def test_fixture_claim_takes_no_team_count(self):
@@ -96,10 +96,10 @@ class TestValidation:
     # b is undefined for two teams before duplication, so n = 2 once failed
     # the claim; the others were refused by a generator, in its own words.
     @pytest.mark.parametrize("teams, message", [
-        (2, "at least 3 teams"),
-        (1, "at least 3 teams"),
-        (7.0, "integer team count"),
-        (True, "integer team count"),
+        (2, "team count must be >= 3"),
+        (1, "team count must be >= 3"),
+        (7.0, "team count must be an integer"),
+        (True, "team count must be an integer"),
     ])
     def test_duplication_team_count(self, teams, message):
         with pytest.raises(ValueError, match=message):

@@ -285,7 +285,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--claim", "duplication-preserves",
                              "--teams", "2")
         assert (code, out) == (2, "")
-        assert "at least 3 teams" in err
+        assert "'duplication-preserves' team count must be >= 3" in err
 
     def test_help_lists_every_claim(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a name

@@ -3,12 +3,15 @@
 import pytest
 
 from rrsched import (
+    SearchConstraints,
     circle_schedule,
     duplicate_rounds,
     make_schedule,
     odd_optimal_schedule,
     odd_slot_assignment,
     round_structure,
+    search,
+    verify_claim,
 )
 from rrsched.fixtures import (
     ELEVEN_TEAM_CIRCLE_OPENING,
@@ -199,6 +202,42 @@ class TestDuplicateRounds:
 def test_non_int_counts_are_rejected(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+# Every entry point that takes a count: (id, call with the count, the name
+# its message gives the count, the smallest count it accepts).
+_COUNTS = [
+    ("make_schedule-n", lambda v: make_schedule(v, 1, [(1, 2), (1, 3), (2, 3)]), "n", 2),
+    ("make_schedule-m", lambda v: make_schedule(3, v, [(1, 2), (1, 3), (2, 3)]), "m", 1),
+    ("round_structure", round_structure, "n", 2),
+    ("odd_slot_assignment", odd_slot_assignment, "n", 3),
+    ("duplicate_rounds", lambda v: duplicate_rounds(circle_schedule(4), v),
+     "duplication factor", 1),
+    *((f"SearchConstraints-{bound}", lambda v, bound=bound: SearchConstraints(**{bound: v}),
+       bound, 0) for bound in ("min_rest", "max_gpd", "max_rdi")),
+    ("search-n", lambda v: search(v, SearchConstraints(min_rest=1)), "n", 3),
+    ("search-jobs", lambda v: search(5, SearchConstraints(min_rest=1), jobs=v), "jobs", 1),
+    ("search-limit", lambda v: search(5, SearchConstraints(min_rest=1), mode="enumerate",
+                                      limit=v), "limit", 1),
+    ("verify_claim", lambda v: verify_claim("duplication-preserves", v),
+     "claim 'duplication-preserves' team count", 3),
+]
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, message, id=f"{entry}-{value!r}")
+    for entry, call, name, minimum in _COUNTS
+    for value, message in [
+        (True, f"{name} must be an integer, got True"),
+        (3.0, f"{name} must be an integer, got 3.0"),
+        ("3", f"{name} must be an integer, got '3'"),
+        (minimum - 1, f"{name} must be >= {minimum}, got {minimum - 1}"),
+    ]
+])
+def test_counts_share_one_rule(call, value, message):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == message
 
 
 class TestGeneratedSchedulesValidate:

@@ -118,7 +118,7 @@ class TestMakeSchedule:
 
     @pytest.mark.parametrize("n, m", [(True, 1), (3.0, 1), ("3", 1), (3, True), (3, None)])
     def test_rejects_non_int_n_and_m(self, n, m):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             make_schedule(n, m, N3_GAMES)
 
     def test_stores_games_as_tuples(self):
@@ -231,6 +231,18 @@ class TestTextFormat:
             parse_schedule(text)
         assert exc.value.line == line
 
+    # A header out of order in the head or in the body of the text.
+    @pytest.mark.parametrize("text, line, message", [
+        ("m 2\nn 3\n1 2\n1 3\n2 3\n", 1, "misplaced 'm' header"),
+        ("n 3\nm 2\nm 2\n1 2\n", 3, "misplaced 'm' header"),
+        ("n 3\n1 2\n1 3\nm 2\n2 3\n", 4, "misplaced 'm' header"),
+        ("n 3\n1 2\n\nn 3\n1 3\n2 3\n", 4, "duplicate 'n' header"),
+    ], ids=["m-before-n", "m-twice", "m-after-games", "n-after-games"])
+    def test_header_order_errors_report_message_and_line(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_schedule(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"{message} at line {line}")
+
     @pytest.mark.parametrize("text, line", [
         ("n 3\n1 2\n1 3\n2 0_3\n", 4),
         ("n 3\n1 2\n1 3\n2 \u0663\n", 4),
@@ -342,14 +354,18 @@ def _plant(fault, n, m, games, idx, line):
 
 
 # Layouts of the same schedule: lines before the header, line ending, final
-# newline, and a line placed before the middle game.
+# newline, a line placed before the middle game, and whether a "# round k"
+# line opens every round (after a blank line, past the first round).
 _LAYOUTS = [
-    ([], "\n", True, None),
-    (["# season one"], "\n", True, None),
-    ([], "\r\n", True, None),
-    ([], "\n", False, None),
-    ([], "\n", True, ""),
-    ([], "\n", True, "# half time"),
+    ([], "\n", True, None, False),
+    (["# season one"], "\n", True, None, False),
+    ([], "\r\n", True, None, False),
+    ([], "\n", False, None, False),
+    ([], "\n", True, "", False),
+    ([], "\n", True, "# half time", False),
+    ([], "\n", True, None, True),
+    # A "-" anywhere in the text sends even a valid body through the line rules.
+    (["# home - away"], "\n", True, None, False),
 ]
 
 
@@ -364,25 +380,27 @@ class TestPlantedFaults:
         return s, lines[:m], lines[m:]
 
     @staticmethod
-    def _text(header, body, layout):
-        before, newline, final, middle = layout
-        lines = before + header + body
-        if middle is not None:
-            lines.insert(len(before) + len(header) + len(body) // 2, middle)
-        return newline.join(lines) + (newline if final else "")
-
-    @staticmethod
-    def _line(header, body, layout, idx):
-        before, _, _, middle = layout
-        shifted = middle is not None and idx - 1 >= len(body) // 2
-        return len(before) + len(header) + idx + shifted
+    def _text(n, header, body, layout):
+        """The text of ``body`` in ``layout``, and the line of each game."""
+        before, newline, final, middle, rounds = layout
+        g = round_structure(n).g
+        lines = before + header
+        game_lines = []
+        for i, game in enumerate(body):
+            if middle is not None and i == len(body) // 2:
+                lines.append(middle)
+            if rounds and i % g == 0:
+                lines += ["", f"# round {i // g + 1}"] if i else ["# round 1"]
+            lines.append(game)
+            game_lines.append(len(lines))
+        return newline.join(lines) + (newline if final else ""), game_lines
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     @pytest.mark.parametrize("m", [1, 2])
     def test_layouts_parse_to_the_same_schedule(self, n, m):
         s, header, body = self._serialized(n, m)
         for layout in _LAYOUTS:
-            assert parse_schedule(self._text(header, body, layout)) == s
+            assert parse_schedule(self._text(n, header, body, layout)[0]) == s
 
     @pytest.mark.parametrize("fault", _FAULTS)
     @pytest.mark.parametrize("n", [3, 5, 8])
@@ -391,15 +409,15 @@ class TestPlantedFaults:
         s, header, body = self._serialized(n, m)
         planted = 0
         for layout in _LAYOUTS:
-            for idx in range(1, len(body) + 1):
-                line = self._line(header, body, layout, idx)
+            _, game_lines = self._text(n, header, body, layout)
+            for idx, line in enumerate(game_lines, start=1):
                 planting = _plant(fault, n, m, s.games, idx, line)
                 if planting is None:
                     continue
                 text, message = planting
                 bad = body[:idx - 1] + [text] + body[idx:]
                 with pytest.raises(ParseError) as exc:
-                    parse_schedule(self._text(header, bad, layout))
+                    parse_schedule(self._text(n, header, bad, layout)[0])
                 assert (exc.value.line, str(exc.value)) == (line, message)
                 planted += 1
         assert planted

@@ -4,8 +4,11 @@ import contextlib
 import functools
 import importlib
 import itertools
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 from concurrent.futures import Executor, Future
 
 import pytest
@@ -419,6 +422,17 @@ class TestBudgetedSplit:
             assert search(*case[:4], symmetry_breaking=case[4], jobs=2) == expected, case
         assert pools == [2] * len(cases)
 
+    # macOS starts pool workers by spawn and Python 3.14 by forkserver, not
+    # fork: each worker imports the package afresh and gets its task pickled.
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods_match_a_sequential_walk(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        proc = subprocess.run([sys.executable, "-X", "dev", "-c", _START_METHOD_RUN, method],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "count 84159\nenumerate 55177\n"
+
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
         monkeypatch.setattr(search_module, "_walk", _fail_in_workers)
@@ -427,6 +441,25 @@ class TestBudgetedSplit:
             search(5, SearchConstraints(min_rest=1), mode="count",
                    symmetry_breaking=False, jobs=2)
 
+
+# Runs the catalogue count n6-rest1-rdi2 and a 5,000-schedule enumeration of
+# it, both past the split budget, at jobs=2 under the start method argv[1],
+# and prints each run's nodes once it equals the run at jobs=1.
+_START_METHOD_RUN = """
+import multiprocessing, os, sys
+from rrsched import SearchConstraints, search
+from rrsched.search import _SPLIT_BUDGET
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    os.cpu_count = lambda: 2  # a pool of two workers on any machine
+    constraints = SearchConstraints(min_rest=1, max_rdi=2)
+    for mode, limit in (("count", None), ("enumerate", 5000)):
+        solo = search(6, constraints, mode, limit)
+        assert solo.nodes_explored > _SPLIT_BUDGET
+        assert search(6, constraints, mode, limit, jobs=2) == solo, mode
+        print(mode, solo.nodes_explored)
+"""
 
 _walk_here = search_module._walk
 
