@@ -3,8 +3,8 @@
 Each claim re-derives one documented property of the constructions or of the
 schedule space at a concrete team count: either by evaluating a generated
 schedule, or by exhausting the (pruned) search space and showing emptiness.
-Search-backed claims therefore only run at team counts the enumerator
-accepts.
+Each claim is one row of ``_CLAIMS``; the search-backed ones stop at 8 teams,
+the enumerator's default ceiling.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from . import fixtures
 from .generators import circle_schedule, duplicate_rounds, odd_optimal_schedule
 from .metrics import evaluate
 from .model import Schedule, _check_count, _Record, _set_field
-from .search import SearchConstraints, search
+from .search import DEFAULT_TEAM_CEILING, SearchConstraints, search
 
 
 class ClaimReport(_Record):
@@ -36,22 +36,23 @@ def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:
     """Run one named claim and report pass/fail with its evidence.
 
     Raises ValueError for unknown claims, for a team count given to a claim
-    that takes none, and for team counts that are not an ``int`` (``bool``
-    and ``float`` are rejected), of the wrong parity or below the claim's
-    minimum.
+    that takes none, for team counts that are not an ``int`` (``bool`` and
+    ``float`` are rejected), of the wrong parity or below the claim's
+    minimum, and for a search-backed claim above 8 teams.
     """
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known claims: {', '.join(CLAIM_NAMES)}")
-    check, parity, smallest = _CLAIMS[claim]
-    if teams is None:
-        return check(claim, None if parity is None else smallest)
-    if smallest is None:
-        raise ValueError(f"claim {claim!r} does not take a team count")
-    _check_count(f"claim {claim!r} team count", teams, smallest)
-    if parity is not None and teams % 2 != parity:
-        raise ValueError(f"claim {claim!r} needs an {('even', 'odd')[parity]} "
-                         f"team count, got {teams}")
-    return check(claim, teams)
+    parity, smallest, check = _CLAIMS[claim]
+    if teams is not None:
+        if smallest is None:
+            raise ValueError(f"claim {claim!r} does not take a team count")
+        _check_count(f"claim {claim!r} team count", teams, smallest)
+        if parity is not None and teams % 2 != parity:
+            raise ValueError(f"claim {claim!r} needs an {('even', 'odd')[parity]} "
+                             f"team count, got {teams}")
+    elif parity is not None:
+        teams = smallest
+    return check(claim, teams, None if teams is None else teams // 2)
 
 
 def _metric_triple(report) -> tuple[int | None, int, int]:
@@ -60,37 +61,23 @@ def _metric_triple(report) -> tuple[int | None, int, int]:
             report.rest_difference_index)
 
 
+def _search(claim: str, n: int, constraints: SearchConstraints, mode: str):
+    # verify has no allow_large, so the search's ceiling is worded as the claim's.
+    if n > DEFAULT_TEAM_CEILING:
+        raise ValueError(f"claim {claim!r} team count must be <= {DEFAULT_TEAM_CEILING}, "
+                         f"got {n}")
+    return search(n, constraints, mode=mode)
+
+
 def _empty_search_claim(claim: str, n: int, constraints: SearchConstraints,
                         description: str) -> ClaimReport:
-    outcome = search(n, constraints, mode="first")
+    outcome = _search(claim, n, constraints, "first")
     if outcome.found is None:
         details = f"no schedule {description}; search exhausted"
     else:
         details = f"counterexample found: a schedule {description} exists"
     return ClaimReport(claim=claim, teams=n, passed=outcome.found is None, details=details,
                        nodes_explored=outcome.nodes_explored, witness=outcome.found)
-
-
-def _even_rest_bound(claim: str, n: int) -> ClaimReport:
-    k = n // 2
-    return _empty_search_claim(
-        claim, n, SearchConstraints(min_rest=k - 1),
-        f"with rest time >= {k - 1} (claimed maximum is {k - 2})")
-
-
-def _odd_rest_bound(claim: str, n: int) -> ClaimReport:
-    k = (n - 1) // 2
-    return _empty_search_claim(
-        claim, n, SearchConstraints(min_rest=k),
-        f"with rest time >= {k} (claimed maximum is {k - 1})")
-
-
-def _even_impossibility(claim: str, n: int) -> ClaimReport:
-    k = n // 2
-    return _empty_search_claim(
-        claim, n,
-        SearchConstraints(min_rest=k - 2, max_gpd=1, max_rdi=1),
-        f"with rest time {k - 2} and both difference indices 1")
 
 
 def _expected_metrics_claim(claim: str, n: int, s: Schedule,
@@ -100,26 +87,9 @@ def _expected_metrics_claim(claim: str, n: int, s: Schedule,
                        details=f"expected (b, p, d) = {expected}, got {got}")
 
 
-def _even_circle_metrics(claim: str, n: int) -> ClaimReport:
-    k = n // 2
-    expected = (k - 2, 1, 1 if n == 4 else 2)
-    return _expected_metrics_claim(claim, n, circle_schedule(n), expected)
-
-
-def _odd_circle_metrics(claim: str, n: int) -> ClaimReport:
-    k = (n - 1) // 2
-    return _expected_metrics_claim(claim, n, circle_schedule(n), (k - 2, 2, k + 1))
-
-
-def _odd_optimal_metrics(claim: str, n: int) -> ClaimReport:
-    k = (n - 1) // 2
-    return _expected_metrics_claim(claim, n, odd_optimal_schedule(n), (k - 1, 1, 1))
-
-
-def _max_rest_claim(claim: str, n: int, holds, failing: str) -> ClaimReport:
+def _max_rest_claim(claim: str, n: int, k: int, holds, failing: str) -> ClaimReport:
     """Enumerate every canonical odd-``n`` schedule of rest time k-1 and test ``holds``."""
-    k = (n - 1) // 2
-    outcome = search(n, SearchConstraints(min_rest=k - 1), mode="enumerate")
+    outcome = _search(claim, n, SearchConstraints(min_rest=k - 1), "enumerate")
     bad = [s for s in outcome.schedules if not holds(evaluate(s))]
     details = (f"{len(outcome.schedules)} canonical schedule(s) with rest time {k - 1}; "
                f"{len(bad)} {failing}")
@@ -128,17 +98,7 @@ def _max_rest_claim(claim: str, n: int, holds, failing: str) -> ClaimReport:
                        witness=bad[0] if bad else None)
 
 
-def _odd_rdi_lemma(claim: str, n: int) -> ClaimReport:
-    return _max_rest_claim(claim, n, lambda r: r.rest_difference_index == 1,
-                           "with rest difference index != 1")
-
-
-def _always_win(claim: str, n: int) -> ClaimReport:
-    return _max_rest_claim(claim, n, lambda r: bool(r.always_longer_rest_teams),
-                           "without an always-better-rested team")
-
-
-def _figure_fixtures(claim: str, teams: None) -> ClaimReport:
+def _figure_fixtures(claim: str, teams: None, k: None) -> ClaimReport:
     checks = [
         ("10-team circle, rounds 1-3",
          list(circle_schedule(10).games[:15]), fixtures.TEN_TEAM_CIRCLE_OPENING),
@@ -156,63 +116,65 @@ def _figure_fixtures(claim: str, teams: None) -> ClaimReport:
                        details=details)
 
 
-def _duplication_preserves(claim: str, teams: int | None) -> ClaimReport:
+def _duplication_preserves(claim: str, teams: int | None, k: int | None) -> ClaimReport:
     # Duplication preserves the guaranteed rest time of the generated
     # schedules (no team plays twice within a round block in either family).
     # The two difference indices are additionally preserved when every team
     # plays in every round (even team counts); a bye stretches from k to
     # factor*k games under duplication while opponents still rest k-1, so
     # the rest difference index of a schedule with byes necessarily grows.
-    # Each preservation statement is checked on its valid domain.
-    if teams is None:
-        cases = [(circle_schedule(n), True) for n in (4, 6, 8)]
-        cases += [(odd_optimal_schedule(n), False) for n in (5, 7)]
-    elif teams % 2 == 0:
-        cases = [(circle_schedule(teams), True)]
-    else:
-        cases = [(odd_optimal_schedule(teams), False)]
+    # Each preservation statement is checked on its valid domain: all of
+    # (b, p, d) for even n, b alone for odd n.
+    counts = (4, 6, 8, 5, 7) if teams is None else (teams,)
     failures = []
-    for base, every_round in cases:
-        before = evaluate(base)
+    for n in counts:
+        base = circle_schedule(n) if n % 2 == 0 else odd_optimal_schedule(n)
+        kept = 3 if n % 2 == 0 else 1
+        before = _metric_triple(evaluate(base))[:kept]
         for factor in (2, 3):
-            after = evaluate(duplicate_rounds(base, factor))
-            same = after.guaranteed_rest_time == before.guaranteed_rest_time
-            if every_round:
-                same = same and (after.rest_difference_index
-                                 == before.rest_difference_index)
-                same = same and (after.games_played_difference_index
-                                 == before.games_played_difference_index)
-            if not same:
-                failures.append(f"n={base.team_count} x{factor}")
+            if _metric_triple(evaluate(duplicate_rounds(base, factor)))[:kept] != before:
+                failures.append(f"n={n} x{factor}")
     if failures:
         details = f"changed for: {', '.join(failures)}"
     else:
         details = "rest time preserved under duplication"
-        if any(every_round for _, every_round in cases):
-            details += ("; both difference indices preserved on every-round (even) "
-                        "schedules")
-        if any(not every_round for _, every_round in cases):
+        if any(n % 2 == 0 for n in counts):
+            details += "; both difference indices preserved on every-round (even) schedules"
+        if any(n % 2 for n in counts):
             details += ("; byes stretch under duplication, so rest difference is "
                         "not preserved with odd team counts and is not asserted")
     return ClaimReport(claim=claim, teams=teams, passed=not failures,
                        details=details)
 
 
-# name: (check, parity of the team count (0 even, 1 odd, None either),
-# smallest team count (None: the claim takes no team count)).  A check is
-# called as check(name, n), with n defaulting to the smallest count; for a
-# parity of None it defaults to None, and the check picks its own cases.
+# name: (parity of the team count (0 even, 1 odd, None either), smallest team
+# count (None: no team count), check).  check(name, n, k) gets k = n // 2, which
+# is (n - 1) // 2 for odd n; n defaults to the smallest count, or to None (k too)
+# for a parity of None, and the check then picks its own cases.
 _CLAIMS = {
-    "even-rest-bound": (_even_rest_bound, 0, 4),
-    "even-circle-metrics": (_even_circle_metrics, 0, 4),
-    "even-impossibility": (_even_impossibility, 0, 6),
-    "odd-rest-bound": (_odd_rest_bound, 1, 3),
-    "odd-circle-metrics": (_odd_circle_metrics, 1, 5),
-    "odd-optimal-metrics": (_odd_optimal_metrics, 1, 3),
-    "odd-rdi-lemma": (_odd_rdi_lemma, 1, 3),
-    "always-win": (_always_win, 1, 3),
-    "figure-fixtures": (_figure_fixtures, None, None),
-    "duplication-preserves": (_duplication_preserves, None, 3),
+    "even-rest-bound": (0, 4, lambda claim, n, k: _empty_search_claim(
+        claim, n, SearchConstraints(min_rest=k - 1),
+        f"with rest time >= {k - 1} (claimed maximum is {k - 2})")),
+    "even-circle-metrics": (0, 4, lambda claim, n, k: _expected_metrics_claim(
+        claim, n, circle_schedule(n), (k - 2, 1, 1 if n == 4 else 2))),
+    "even-impossibility": (0, 6, lambda claim, n, k: _empty_search_claim(
+        claim, n, SearchConstraints(min_rest=k - 2, max_gpd=1, max_rdi=1),
+        f"with rest time {k - 2} and both difference indices 1")),
+    "odd-rest-bound": (1, 3, lambda claim, n, k: _empty_search_claim(
+        claim, n, SearchConstraints(min_rest=k),
+        f"with rest time >= {k} (claimed maximum is {k - 1})")),
+    "odd-circle-metrics": (1, 5, lambda claim, n, k: _expected_metrics_claim(
+        claim, n, circle_schedule(n), (k - 2, 2, k + 1))),
+    "odd-optimal-metrics": (1, 3, lambda claim, n, k: _expected_metrics_claim(
+        claim, n, odd_optimal_schedule(n), (k - 1, 1, 1))),
+    "odd-rdi-lemma": (1, 3, lambda claim, n, k: _max_rest_claim(
+        claim, n, k, lambda r: r.rest_difference_index == 1,
+        "with rest difference index != 1")),
+    "always-win": (1, 3, lambda claim, n, k: _max_rest_claim(
+        claim, n, k, lambda r: bool(r.always_longer_rest_teams),
+        "without an always-better-rested team")),
+    "figure-fixtures": (None, None, _figure_fixtures),
+    "duplication-preserves": (None, 3, _duplication_preserves),
 }
 
 CLAIM_NAMES = tuple(_CLAIMS)

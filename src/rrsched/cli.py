@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ve = sub.add_parser("verify", help="check a named claim")
     ve.add_argument("--claim", action=_ClaimOption, required=True, metavar="NAME")
     ve.add_argument("--teams", type=int, default=None,
-                    help="team count (defaults to the smallest the claim covers)")
+                    help="team count (defaults to the smallest the claim covers; "
+                         "search-backed claims stop at 8)")
 
     return parser
 

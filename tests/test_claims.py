@@ -61,6 +61,53 @@ class TestExplicitTeamCounts:
         assert verify_claim("duplication-preserves", 5).passed
 
 
+_DUP_EVEN = "both difference indices preserved on every-round (even) schedules"
+_DUP_ODD = ("byes stretch under duplication, so rest difference is not preserved "
+            "with odd team counts and is not asserted")
+
+
+# Every report in full, recorded before the claims became table rows, so a
+# change of wording or of node count shows here and not only in a substring.
+@pytest.mark.parametrize("claim, teams, want_teams, details, nodes", [
+    ("even-rest-bound", None, 4,
+     "no schedule with rest time >= 1 (claimed maximum is 0); search exhausted", 2),
+    ("even-circle-metrics", None, 4, "expected (b, p, d) = (0, 1, 1), got (0, 1, 1)", None),
+    ("even-impossibility", None, 6,
+     "no schedule with rest time 1 and both difference indices 1; search exhausted", 19),
+    ("odd-rest-bound", None, 3,
+     "no schedule with rest time >= 1 (claimed maximum is 0); search exhausted", 1),
+    ("odd-circle-metrics", None, 5, "expected (b, p, d) = (0, 2, 3), got (0, 2, 3)", None),
+    ("odd-optimal-metrics", None, 3, "expected (b, p, d) = (0, 1, 1), got (0, 1, 1)", None),
+    ("odd-rdi-lemma", None, 3,
+     "2 canonical schedule(s) with rest time 0; 0 with rest difference index != 1", 5),
+    ("always-win", None, 3,
+     "2 canonical schedule(s) with rest time 0; 0 without an always-better-rested team", 5),
+    ("figure-fixtures", None, None, "all reference fixtures reproduced exactly", None),
+    ("duplication-preserves", None, None,
+     f"rest time preserved under duplication; {_DUP_EVEN}; {_DUP_ODD}", None),
+    ("even-rest-bound", 6, 6,
+     "no schedule with rest time >= 2 (claimed maximum is 1); search exhausted", 3),
+    ("even-circle-metrics", 8, 8, "expected (b, p, d) = (2, 1, 2), got (2, 1, 2)", None),
+    ("even-impossibility", 8, 8,
+     "no schedule with rest time 2 and both difference indices 1; search exhausted", 388),
+    ("odd-rest-bound", 7, 7,
+     "no schedule with rest time >= 3 (claimed maximum is 2); search exhausted", 3),
+    ("odd-circle-metrics", 7, 7, "expected (b, p, d) = (1, 2, 4), got (1, 2, 4)", None),
+    ("odd-optimal-metrics", 9, 9, "expected (b, p, d) = (3, 1, 1), got (3, 1, 1)", None),
+    ("odd-rdi-lemma", 7, 7,
+     "16 canonical schedule(s) with rest time 2; 0 with rest difference index != 1", 1361),
+    ("always-win", 5, 5,
+     "8 canonical schedule(s) with rest time 1; 0 without an always-better-rested team", 92),
+    ("duplication-preserves", 5, 5, f"rest time preserved under duplication; {_DUP_ODD}", None),
+    ("duplication-preserves", 6, 6, f"rest time preserved under duplication; {_DUP_EVEN}", None),
+])
+def test_report_is_pinned(claim, teams, want_teams, details, nodes):
+    report = verify_claim(claim, teams)
+    assert (report.passed, report.teams, report.details, report.nodes_explored) == (
+        True, want_teams, details, nodes)
+    assert report.witness is None
+
+
 class TestValidation:
     def test_unknown_claim(self):
         with pytest.raises(ValueError, match="unknown claim"):
@@ -88,6 +135,20 @@ class TestValidation:
     def test_non_int_team_count(self, claim, teams):
         with pytest.raises(ValueError, match="team count must be an integer"):
             verify_claim(claim, teams)
+
+    # The search behind these claims stops at 8 teams; the refusal is worded
+    # as the claim's own count check, since verify has no allow_large.
+    @pytest.mark.parametrize("claim, teams", [
+        ("even-rest-bound", 10),
+        ("even-impossibility", 10),
+        ("odd-rest-bound", 9),
+        ("odd-rdi-lemma", 9),
+        ("always-win", 9),
+    ])
+    def test_search_backed_claim_above_eight_teams(self, claim, teams):
+        with pytest.raises(ValueError) as exc:
+            verify_claim(claim, teams)
+        assert str(exc.value) == f"claim {claim!r} team count must be <= 8, got {teams}"
 
     def test_fixture_claim_takes_no_team_count(self):
         with pytest.raises(ValueError):

@@ -287,6 +287,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "'duplication-preserves' team count must be >= 3" in err
 
+    def test_search_backed_claim_above_eight_teams_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--claim", "even-impossibility",
+                             "--teams", "10")
+        assert (code, out) == (2, "")
+        assert "claim 'even-impossibility' team count must be <= 8, got 10" in err
+        assert "allow_large" not in err
+
     def test_help_lists_every_claim(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a name
         with pytest.raises(SystemExit) as exc:
