@@ -22,20 +22,29 @@ test per candidate pair.  It collects the complete schedules it meets and
 stops at a quota, which serves mode "first" and the ``limit`` of mode
 "enumerate", and returns them with its counts.
 
-A run with ``jobs > 1`` walks in this process until it has spent a node
-budget; a run that ends sooner starts no process.  Past the budget the walk
-records each subtree it would have entered next as a task, a prefix of
-games, in walk order.  The shallowest tasks are split until every worker
-has several, a process pool's ``map`` walks the tasks, and their results
-are merged in walk order, so the outcome and ``nodes_explored`` equal those
-of one walk.
+Two teams that have just met each other, had met the same opponents before
+and have not played since are twins: swapping them changes no bound's test
+below that node.  So a candidate pair that an earlier sibling maps to by
+twin swaps has a subtree with that sibling's schedule and node counts, and
+the walk adds those counts instead of walking it (only when the sibling
+found no schedule, where the schedules themselves are kept).
+``nodes_explored`` therefore counts every node of the pruned tree, the
+nodes of reused subtrees included, exactly as a walk without reuse would.
+
+A run with ``jobs > 1`` walks in this process until it has walked a node
+budget (reused nodes do not count); a run that ends sooner starts no
+process.  Past the budget the walk records each subtree it would have
+entered next as a task, a prefix of games, in walk order.  The shallowest
+tasks are split until every worker has several, a process pool walks the
+tasks, and their results are merged in walk order, so the outcome and
+``nodes_explored`` equal those of one walk.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import repeat
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .model import Schedule, _check_count, _Record, _set_field, expected_length
 
@@ -81,8 +90,9 @@ class SearchOutcome(_Record):
 
     ``found`` is set in mode "first" (None when nothing satisfies the
     constraints), ``count`` in mode "count", ``schedules`` in mode
-    "enumerate".  ``nodes_explored`` counts accepted placements and is
-    independent of the worker count.
+    "enumerate".  ``nodes_explored`` counts accepted placements: the size of
+    the pruned tree up to where the run stopped, subtrees that were reused
+    rather than walked included.  It is independent of the worker count.
     """
 
     __slots__ = ("mode", "nodes_explored", "found", "count", "schedules")
@@ -98,11 +108,12 @@ class SearchOutcome(_Record):
 
 class _Walked(NamedTuple):
     """What one walk found: ``emissions[i]`` was emitted when its node
-    counter read ``emission_nodes[i]`` (both empty in count mode), and it
-    counted ``found`` schedules and ``nodes`` nodes in all."""
+    counter read ``emission_nodes[i]`` (both empty in count mode and for
+    the reused counts of a twin sibling), and it counted ``found``
+    schedules and ``nodes`` nodes in all."""
 
-    emissions: list[tuple[tuple[int, int], ...]]
-    emission_nodes: list[int]
+    emissions: Sequence[tuple[tuple[int, int], ...]]
+    emission_nodes: Sequence[int]
     found: int
     nodes: int
 
@@ -117,12 +128,25 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     ``prefix``, and of those only the last counts as a node, so the node
     counts of the walks below the children of a node add up, with that
     node, to the count of the walk below it.  Complete schedules are kept
-    when ``keep`` is true, and the walk stops at the ``quota``-th.  Once
-    ``budget`` nodes are counted the walk places no more games: it appends
-    each later candidate that passes every test to ``tasks``, as the tuple
-    of games that ends with it, in walk order.
+    when ``keep`` is true, and the walk stops at the ``quota``-th.
+
+    A candidate that an earlier sibling maps to by swapping twins (see
+    ``twins`` below) has a subtree with the same schedule and node counts,
+    so the walk adds the sibling's counts instead of walking it: in count
+    mode always, and when ``keep`` is true only if the sibling found none.
+
+    Once ``budget`` nodes are walked (reused ones do not count) the walk
+    places no more games: it appends each later candidate that passes every
+    test to ``tasks``, in walk order, as the tuple of games that ends with
+    it, or, for a twin image of a sibling walked in full, as a ``_Walked``
+    of that sibling's counts.  The counts of a sibling whose subtree left
+    tasks are never reused alone: its image lists the sibling's walked
+    counts and the same task objects again, and only where ``share_tasks``
+    says that is sure to be right; elsewhere the image is a task of its own.
     """
     n, constraints, symmetry, keep, quota = walk
+    if tasks is None:
+        tasks = []
     total = expected_length(n)
     rest = constraints.min_rest or 0
     # A rest difference is below the game count, so this bound never prunes.
@@ -132,6 +156,13 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     counts = [0] * (n + 1)  # games played per team (kept only under max_gpd)
     hist = [0] * n          # hist[c]: teams that have played c games
     hist[0] = n
+    played = [0] * (n + 1)  # bit t is set once the team has met team t
+    # twins[p] is a + b if the teams a, b of the game at position p had met
+    # the same opponents before it, else 0.  Those two are twins while
+    # neither has played since: swapping them maps every latest position,
+    # count and unused pair, and the lowest unseen label, to itself, so it
+    # changes no prune test (notes/decisions.md has the argument).
+    twins = [0] * (total + 1)
     games: list[tuple[int, int]] = []
     emissions: list[tuple[tuple[int, int], ...]] = []
     emission_nodes: list[int] = []
@@ -139,8 +170,13 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     forced = len(prefix)
     nodes = 1 - forced if forced else 0
     # The count never falls below 1 - forced, so without a budget no count
-    # equals ``spent``.
+    # equals ``spent``; a reused subtree raises both by its node count.
     spent = -1 - forced if budget is None else budget
+    # A twin image of a sibling that left tasks lists those tasks again when
+    # that is sure to give the sibling's counts: in count mode, and when the
+    # merge stops at the first schedule, so that it reaches the image only
+    # if the sibling found none.
+    share_tasks = not keep or quota == 1
 
     def extend(depth, remaining, cut, cap, low, high):
         # cut: a team whose latest game lies after this position rests less
@@ -148,7 +184,10 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
         # cap: the lowest unseen label under symmetry breaking (n + 1 without):
         #   a pair may introduce cap, or cap and cap + 1, but no higher label.
         # low, high: the fewest and most games played by any team so far.
-        nonlocal nodes, found
+        nonlocal nodes, found, spent
+        # orbit key -> (found, nodes, *tasks) of an earlier twin sibling: the
+        # counts it walked here and the tasks it left; made at the first key
+        reusable = None
         # The prefix game is the last unused pair at its level.
         for i, pair in (enumerate(remaining) if depth > forced
                         else enumerate(remaining[-1:], len(remaining) - 1)):
@@ -171,8 +210,39 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 lo = low + 1 if hist[low] == (count_a == low) + (count_b == low) else low
                 if hi - lo > gpd:
                     continue
+            # key: the bits of the lower team of each twin pair, and of each
+            # team without a twin, so pairs equal up to twin swaps share it;
+            # 0 when neither team has a twin.
+            key = 0
+            if twins[last_a] or twins[last_b]:
+                # A team's mate is its opponent in its latest game; they are
+                # twins if that game set ``twins`` and the mate has not
+                # played since.
+                mate_a = twins[last_a] - a
+                mate_b = twins[last_b] - b
+                twin_a = mate_a > 0 and last[mate_a] == last_a
+                twin_b = mate_b > 0 and last[mate_b] == last_b
+                if twin_a or twin_b:
+                    key = (1 << (mate_a if twin_a and mate_a < a else a)
+                           | 1 << (mate_b if twin_b and mate_b < b else b))
+                    if reusable is None:
+                        reusable = {}
+                    twin = reusable.get(key)
+                    if twin is not None:
+                        if nodes != spent:
+                            found += twin[0]
+                            nodes += twin[1]
+                            spent += twin[1]
+                        else:
+                            if twin[1]:
+                                tasks.append(_Walked((), (), twin[0], twin[1]))
+                            tasks.extend(twin[2:])
+                        continue
             if nodes == spent:
-                tasks.append((*games, pair))
+                task = (*games, pair)
+                tasks.append(task)
+                if key and share_tasks:
+                    reusable[key] = (0, 0, task)
                 continue
             nodes += 1
             if depth == total:
@@ -191,13 +261,31 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 hist[count_b] -= 1
                 hist[count_b + 1] += 1
             last[a] = last[b] = depth
+            played_a = played[a]
+            played_b = played[b]
+            twins[depth] = a + b if played_a == played_b else 0
+            played[a] = played_a | 1 << b
+            played[b] = played_b | 1 << a
             games.append(pair)
             child = remaining.copy()
             del child[i]
+            if key:
+                found_before = found
+                nodes_before = nodes - 1
+                tasks_before = len(tasks)
             if extend(depth + 1, child, depth - rest if depth > rest else 0,
                       b + 1 if b >= cap else cap, lo, hi):
                 return True
+            if key:
+                if nodes != spent:
+                    if found == found_before or not keep:
+                        reusable[key] = (found - found_before, nodes - nodes_before)
+                elif share_tasks:
+                    reusable[key] = (found - found_before, nodes - nodes_before,
+                                     *tasks[tasks_before:])
             games.pop()
+            played[a] = played_a
+            played[b] = played_b
             last[a] = last_a
             last[b] = last_b
             if gpd is not None:
@@ -247,12 +335,14 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     Modes: "first" returns the lexicographically first satisfying schedule
     (or None), "count" counts all of them, "enumerate" collects up to
     ``limit`` of them in lexicographic order; another mode with a ``limit``
-    raises ``ValueError``.  Results, ``nodes_explored`` included, do not
-    depend on ``jobs``.  With ``jobs > 1`` the walk starts in this process;
-    a run that ends within a fixed node budget starts no worker process.
-    Otherwise the subtrees left unwalked go to a pool of at most
-    ``min(jobs, os.cpu_count())`` worker processes, and their results are
-    merged in walk order.
+    raises ``ValueError``.  ``nodes_explored`` is the size of the pruned
+    tree the run covered, including the subtrees it reused from a
+    twin-swapped sibling rather than walked.  Results, ``nodes_explored``
+    included, do not depend on ``jobs``.  With ``jobs > 1`` the walk starts
+    in this process; a run that ends within a fixed budget of walked nodes
+    starts no worker process.  Otherwise the subtrees left unwalked go to a
+    pool of at most ``min(jobs, os.cpu_count())`` worker processes, and
+    their results are merged in walk order.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
@@ -297,45 +387,56 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 def _search_parallel(walk, workers: int, merge) -> None:
     """Walk in this process until the budget is spent, then the rest in a pool.
 
-    The subtrees the budgeted walk leaves are split, shallowest first, until
-    there are ``_TASKS_PER_WORKER`` per worker, so that one big subtree does
-    not leave the other workers idle.  The pool's ``map`` runs them and their
-    results are merged in walk order.  The pool feeds its workers only about
-    one task each ahead of the merge, and shutting it down cancels the tasks
-    it has not fed, so a run that stops at its quota leaves little work
-    behind.
+    The budgeted walk leaves its tasks, and the reused results of twin
+    siblings that follow them, in walk order.  The tasks are split,
+    shallowest first, until there are ``_TASKS_PER_WORKER`` per worker, so
+    that one big subtree does not leave the other workers idle.  The pool's
+    ``map`` runs them and their results are merged in walk order.  A count
+    run, or one that stops at its first schedule, may list a task more than
+    once (as its twin images): the pool walks it once and the merge uses its
+    result at each place.  The pool feeds its
+    workers only about one task each ahead of the merge, and shutting it
+    down cancels the tasks it has not fed, so a run that stops at its quota
+    leaves little work behind.
     """
-    tasks: list[tuple[tuple[int, int], ...]] = []
-    if merge(_walk(walk, (), _SPLIT_BUDGET, tasks)) or not tasks:
+    entries: list = []
+    if merge(_walk(walk, (), _SPLIT_BUDGET, entries)):
         return
-    # Splitting a task walks its root node here and leaves the root's
-    # result in its place, followed by its children as new tasks.
-    entries: list = list(tasks)
-    while tasks and len(tasks) < _TASKS_PER_WORKER * workers:
-        at = min((i for i, entry in enumerate(entries) if not isinstance(entry, _Walked)),
-                 key=lambda i: len(entries[i]))
-        children: list[tuple[tuple[int, int], ...]] = []
-        entries[at:at + 1] = [_walk(walk, entries[at], 1, children), *children]
-        tasks = [entry for entry in entries if not isinstance(entry, _Walked)]
-    if not tasks:
-        # The splits walked the rest of the tree.
+    while True:
+        tasks = list(dict.fromkeys(entry for entry in entries
+                                   if not isinstance(entry, _Walked)))
+        if not tasks or len(tasks) >= _TASKS_PER_WORKER * workers:
+            break
+        # Splitting a task walks its root node here and leaves the root's
+        # result in its place, followed by its children as new tasks.  The
+        # copies of a task are the same object, and each is split alike.
+        task = min(tasks, key=len)
+        children: list = []
+        split = (_walk(walk, task, 1, children), *children)
+        entries = [piece for entry in entries
+                   for piece in (split if entry is task else (entry,))]
+
+    pool = None
+    results = iter(())
+    walked: dict = {}
+    try:
+        if tasks:
+            # Imported here: the pool modules cost more than the rest of the
+            # package to import, and only runs that outlast the budget need them.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+            results = pool.map(_walk, repeat(walk), tasks)
         for entry in entries:
+            if not isinstance(entry, _Walked):
+                if entry not in walked:
+                    walked[entry] = next(results)
+                entry = walked[entry]
             if merge(entry):
                 return
-        return
-
-    # Imported here: the pool modules cost more than the rest of the package
-    # to import, and only runs that outlast the budget need them.
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-    try:
-        results = pool.map(_walk, repeat(walk), tasks)
-        for entry in entries:
-            if merge(entry if isinstance(entry, _Walked) else next(results)):
-                return
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def canonicalize(s: Schedule) -> Schedule:

@@ -24,50 +24,15 @@ class TestDefaults:
         assert verify_claim("figure-fixtures").teams is None
 
 
-class TestExplicitTeamCounts:
-    def test_even_circle_metrics_eight(self):
-        report = verify_claim("even-circle-metrics", 8)
-        assert report.passed and "(2, 1, 2)" in report.details
-
-    def test_odd_optimal_metrics_nine(self):
-        report = verify_claim("odd-optimal-metrics", 9)
-        assert report.passed and "(3, 1, 1)" in report.details
-
-    def test_odd_optimal_metrics_eleven(self):
-        assert verify_claim("odd-optimal-metrics", 11).passed
-
-    def test_even_impossibility_reports_exhaustion(self):
-        report = verify_claim("even-impossibility", 6)
-        assert report.passed
-        assert report.nodes_explored > 0
-        assert report.witness is None
-
-    def test_rest_bounds_at_larger_counts(self):
-        assert verify_claim("even-rest-bound", 6).passed
-        assert verify_claim("odd-rest-bound", 5).passed
-        assert verify_claim("odd-rest-bound", 7).passed
-
-    def test_impossibility_at_eight_teams(self):
-        assert verify_claim("even-impossibility", 8).passed
-
-    def test_lemma_and_always_win_at_five(self):
-        lemma = verify_claim("odd-rdi-lemma", 5)
-        assert lemma.passed and "8 canonical" in lemma.details
-        always = verify_claim("always-win", 5)
-        assert always.passed
-
-    def test_duplication_with_explicit_counts(self):
-        assert verify_claim("duplication-preserves", 6).passed
-        assert verify_claim("duplication-preserves", 5).passed
-
-
 _DUP_EVEN = "both difference indices preserved on every-round (even) schedules"
 _DUP_ODD = ("byes stretch under duplication, so rest difference is not preserved "
             "with odd team counts and is not asserted")
 
 
-# Every report in full, recorded before the claims became table rows, so a
-# change of wording or of node count shows here and not only in a substring.
+# Every report in full, recorded before the claims became table rows (the
+# rows for odd-rest-bound 5, odd-rdi-lemma 5 and odd-optimal-metrics 11
+# before the search reused twin-swapped subtrees), so a change of wording or
+# of node count shows here and not only in a substring.
 @pytest.mark.parametrize("claim, teams, want_teams, details, nodes", [
     ("even-rest-bound", None, 4,
      "no schedule with rest time >= 1 (claimed maximum is 0); search exhausted", 2),
@@ -87,6 +52,11 @@ _DUP_ODD = ("byes stretch under duplication, so rest difference is not preserved
      f"rest time preserved under duplication; {_DUP_EVEN}; {_DUP_ODD}", None),
     ("even-rest-bound", 6, 6,
      "no schedule with rest time >= 2 (claimed maximum is 1); search exhausted", 3),
+    ("odd-rest-bound", 5, 5,
+     "no schedule with rest time >= 2 (claimed maximum is 1); search exhausted", 2),
+    ("odd-rdi-lemma", 5, 5,
+     "8 canonical schedule(s) with rest time 1; 0 with rest difference index != 1", 92),
+    ("odd-optimal-metrics", 11, 11, "expected (b, p, d) = (4, 1, 1), got (4, 1, 1)", None),
     ("even-circle-metrics", 8, 8, "expected (b, p, d) = (2, 1, 2), got (2, 1, 2)", None),
     ("even-impossibility", 8, 8,
      "no schedule with rest time 2 and both difference indices 1; search exhausted", 388),

@@ -2,14 +2,17 @@
 
 import contextlib
 import functools
+import hashlib
 import importlib
 import itertools
+import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 from concurrent.futures import Executor, Future
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,8 @@ from reference import (
 
 # The package exports the search() function under the module's name.
 search_module = importlib.import_module("rrsched.search")
+
+CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
 
 
 class TestEmptinessResults:
@@ -209,6 +214,15 @@ class TestExactCounts:
             assert (outcome.found is not None) == solutions
         elif mode == "enumerate":
             assert len(outcome.schedules) == solutions
+
+    # The odd max-rest counts, 2^(k+1) canonical labelings: the walk reuses
+    # most of these trees, and the node counts are those of a full walk.
+    @pytest.mark.parametrize("n, count, nodes", [(11, 64, 297731), (13, 128, 5088900)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pinned_max_rest_counts(self, n, count, nodes, jobs):
+        outcome = search(n, SearchConstraints(min_rest=(n - 3) // 2), mode="count",
+                         jobs=jobs, allow_large=True)
+        assert (outcome.count, outcome.nodes_explored) == (count, nodes)
 
 
 class TestOracleCounts:
@@ -440,6 +454,47 @@ class TestBudgetedSplit:
         with _deadline(60), pytest.raises(RuntimeError, match="failed in a worker"):
             search(5, SearchConstraints(min_rest=1), mode="count",
                    symmetry_breaking=False, jobs=2)
+
+
+def _catalogue_searches():
+    cases = json.loads(CATALOGUE.read_text(encoding="utf-8"))["cases"]
+    return [pytest.param(case, id=case["id"]) for case in cases if case["kind"] == "search"]
+
+
+def _run_case(case, jobs=1):
+    outcome = search(case["n"], SearchConstraints(**case["constraints"]), mode=case["mode"],
+                     limit=case.get("limit"), jobs=jobs,
+                     allow_large=case.get("allow_large", False))
+    if outcome.mode == "count":
+        return {"count": outcome.count, "nodes": outcome.nodes_explored}
+    if outcome.mode == "first":
+        found = None if outcome.found is None else [list(g) for g in outcome.found.games]
+        return {"found": found, "nodes": outcome.nodes_explored}
+    # The catalogue's digest: one line of a-b games per schedule, in order.
+    digest = hashlib.sha256()
+    for s in outcome.schedules:
+        digest.update(" ".join(f"{a}-{b}" for a, b in s.games).encode() + b"\n")
+    return {"schedules": len(outcome.schedules), "digest": digest.hexdigest()[:16],
+            "nodes": outcome.nodes_explored}
+
+
+class TestCatalogue:
+    """Every search case of ``bench/catalogue.json``, recorded before the walk
+    reused twin-swapped subtrees: a reuse that is wrong shows as a count, a
+    schedule or a node count that differs."""
+
+    @pytest.mark.parametrize("case", _catalogue_searches())
+    def test_sequential_walk(self, case):
+        assert _run_case(case) == case["expect"]
+
+    # Budget 1 hands out the tree from its root; 500 leaves tasks below
+    # siblings that the walk has partly walked, and their twin images.
+    @pytest.mark.parametrize("budget", [1, 500])
+    @pytest.mark.parametrize("case", _catalogue_searches())
+    def test_split_walk(self, split, case, budget):
+        set_budget, _ = split
+        set_budget(budget)
+        assert _run_case(case, jobs=2) == case["expect"]
 
 
 # Runs the catalogue count n6-rest1-rdi2 and a 5,000-schedule enumeration of
