@@ -2,12 +2,15 @@
 
 Exit codes are a stable scripting contract: 0 for success or a passing
 claim, 1 for an honest negative (no schedule found in mode "first", or a
-failing claim), 2 for usage and input errors.
+failing claim), 2 for usage and input errors, and 141 (128 + SIGPIPE, as a
+shell reports for ``cat``) with nothing printed when the reader of standard
+output closes it early, as ``rrsched search ... | head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # Each command imports the modules it runs, when it runs: without a bytecode
@@ -209,7 +212,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        # Flushed here, so that a closed pipe raises below and not at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         # ParseError and ScheduleValidationError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)

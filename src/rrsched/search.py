@@ -14,11 +14,11 @@ labelings (schedules whose opening game introduces two teams at once still
 have interchangeable labels and are not quotiented further).
 
 One function, ``_walk``, is the sequential run, the in-process start of a
-parallel run, each split and each pool task.  It places one game per
-recursion level and undoes it on return; it passes the shrinking list of
-unused pairs down the recursion and keeps each team's latest position and,
-under ``max_gpd``, a histogram of games played, so each bound is an O(1)
-test per candidate pair.  It collects the complete schedules it meets and
+parallel run and each pool task.  It places one game per recursion level
+and undoes it on return; it passes the shrinking list of unused pairs down
+the recursion and keeps each team's latest position and, under
+``max_gpd``, a histogram of games played, so each bound is an O(1) test
+per candidate pair.  It collects the complete schedules it meets and
 stops at a quota, which serves mode "first" and the ``limit`` of mode
 "enumerate", and returns them with its counts.
 
@@ -34,10 +34,9 @@ nodes of reused subtrees included, exactly as a walk without reuse would.
 A run with ``jobs > 1`` walks in this process until it has walked a node
 budget (reused nodes do not count); a run that ends sooner starts no
 process.  Past the budget the walk records each subtree it would have
-entered next as a task, a prefix of games, in walk order.  The shallowest
-tasks are split until every worker has several, a process pool walks the
-tasks, and their results are merged in walk order, so the outcome and
-``nodes_explored`` equal those of one walk.
+entered next as a task, a prefix of games, in walk order.  A process pool
+walks the tasks, and their results are merged in walk order, so the
+outcome and ``nodes_explored`` equal those of one walk.
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ MODES = ("first", "count", "enumerate")
 
 # Nodes a run with jobs > 1 walks in this process before it starts a process
 # pool: about 35 ms of walking, near twice what starting a two-worker pool
-# takes on Linux, so a run that ends sooner never waits for a pool.
+# takes under the ``fork`` start method (``spawn`` and ``forkserver`` take
+# several times longer), so a run that ends sooner never waits for a pool.
 _SPLIT_BUDGET = 30_000
-# Subtrees per worker to split the rest of the tree into.
-_TASKS_PER_WORKER = 16
 
 
 class SearchConstraints(_Record):
@@ -368,10 +366,9 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
         return False
 
     workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
-    if workers > 1:
-        _search_parallel(walk, workers, merge)
-    else:
-        merge(_walk(walk, ()))
+    entries: list = []
+    if not merge(_walk(walk, (), _SPLIT_BUDGET if workers > 1 else None, entries)) and entries:
+        _search_parallel(walk, workers, entries, merge)
 
     if not keep:
         return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
@@ -384,38 +381,19 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     return SearchOutcome(mode=mode, nodes_explored=nodes, schedules=schedules)
 
 
-def _search_parallel(walk, workers: int, merge) -> None:
-    """Walk in this process until the budget is spent, then the rest in a pool.
+def _search_parallel(walk, workers: int, entries: list, merge) -> None:
+    """Walk in a pool the tasks the budgeted walk left, and merge in walk order.
 
-    The budgeted walk leaves its tasks, and the reused results of twin
-    siblings that follow them, in walk order.  The tasks are split,
-    shallowest first, until there are ``_TASKS_PER_WORKER`` per worker, so
-    that one big subtree does not leave the other workers idle.  The pool's
-    ``map`` runs them and their results are merged in walk order.  A count
-    run, or one that stops at its first schedule, may list a task more than
-    once (as its twin images): the pool walks it once and the merge uses its
-    result at each place.  The pool feeds its
-    workers only about one task each ahead of the merge, and shutting it
-    down cancels the tasks it has not fed, so a run that stops at its quota
-    leaves little work behind.
+    ``entries`` holds the tasks, and the reused results of twin siblings
+    that follow them, in walk order.  A count run, or one that stops at its
+    first schedule, may list a task more than once (as its twin images): the
+    pool walks it once and the merge uses its result at each place.  The
+    pool's ``map`` feeds its workers only about one task each ahead of the
+    merge, and shutting it down cancels the tasks it has not fed, so a run
+    that stops at its quota leaves little work behind.
     """
-    entries: list = []
-    if merge(_walk(walk, (), _SPLIT_BUDGET, entries)):
-        return
-    while True:
-        tasks = list(dict.fromkeys(entry for entry in entries
-                                   if not isinstance(entry, _Walked)))
-        if not tasks or len(tasks) >= _TASKS_PER_WORKER * workers:
-            break
-        # Splitting a task walks its root node here and leaves the root's
-        # result in its place, followed by its children as new tasks.  The
-        # copies of a task are the same object, and each is split alike.
-        task = min(tasks, key=len)
-        children: list = []
-        split = (_walk(walk, task, 1, children), *children)
-        entries = [piece for entry in entries
-                   for piece in (split if entry is task else (entry,))]
-
+    tasks = list(dict.fromkeys(entry for entry in entries
+                               if not isinstance(entry, _Walked)))
     pool = None
     results = iter(())
     walked: dict = {}

@@ -339,6 +339,18 @@ class TestEntryPoints:
         doc = json.loads(ev.stdout)
         assert (doc["n"], doc["guaranteed_rest_time"]) == (7, 2)
 
+    def test_closed_pipe_exits_141_quietly(self):
+        # As in `rrsched search ... | head -c 5`: the reader takes 5 bytes of
+        # some 250 kB and closes the pipe while the search still writes.
+        with subprocess.Popen(
+                [sys.executable, "-m", "rrsched", "search", "--teams", "6", "--min-rest", "1",
+                 "--mode", "enumerate", "--limit", "3000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(5) == b"# sch"
+            proc.stdout.close()
+            proc.wait(timeout=60)
+            assert (proc.returncode, proc.stderr.read()) == (141, b"")
+
     def test_missing_subcommand_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "rrsched"],
                               capture_output=True, text=True)

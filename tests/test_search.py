@@ -414,6 +414,40 @@ class TestBudgetedSplit:
         assert len(ran) == witness + 1 < everything
         assert started[1].cancel_futures is True
 
+    @pytest.mark.parametrize("n, constraints, mode", [
+        (6, SearchConstraints(min_rest=1, max_rdi=2), "count"),
+        (8, SearchConstraints(min_rest=2, max_gpd=1, max_rdi=2), "first"),
+    ])
+    def test_twin_images_of_a_task_are_walked_once(self, split, monkeypatch, n,
+                                                   constraints, mode):
+        # A count run, or one that stops at its first schedule, lists a task
+        # again for each twin image of it: the pool walks the task once and
+        # the merge takes its result at every place.
+        set_budget, started = split
+        set_budget(100)
+        expected = search(n, constraints, mode)
+        listed, ran = [], []
+
+        def walk(walk, prefix, budget=None, tasks=None):
+            # The budgeted walk lists the entries; the stand-in pool walks tasks.
+            if budget is None:
+                ran.append(prefix)
+            else:
+                listed.append(tasks)
+            return _walk_here(walk, prefix, budget, tasks)
+
+        monkeypatch.setattr(search_module, "_walk", walk)
+        outcome = search(n, constraints, mode, jobs=2)
+        assert outcome == expected
+        assert len(started) == 1
+        [entries] = listed
+        # A first run stops at the task that holds its witness, the last one run.
+        stop = entries.index(ran[-1]) + 1 if outcome.found else len(entries)
+        merged = [entry for entry in entries[:stop]
+                  if not isinstance(entry, search_module._Walked)]
+        assert sorted(ran) == sorted(set(merged))
+        assert len(merged) > len(ran)
+
     def test_real_pool_matches_a_sequential_walk(self, monkeypatch):
         import concurrent.futures
 
