@@ -14,6 +14,8 @@ Two single-round-robin generators plus a round-duplication operator:
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .model import Schedule, _check_count, make_schedule, round_structure
 
 _DUMMY = 0
@@ -116,20 +118,24 @@ def odd_optimal_schedule(n: int) -> Schedule:
 def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     """Repeat each round block ``factor`` times, giving multiplicity ``factor``.
 
-    Requires a single round robin (m = 1).  For schedules in which no team
-    plays twice within a round block (both generators in this module), the
-    guaranteed rest time is unchanged by this expansion; when every team
-    plays in every round (even team counts) the two difference indices are
-    unchanged as well.  Byes stretch with the factor, so odd-team schedules
-    come out with a larger rest difference index than they started with.
+    Requires a single round robin (m = 1), which :func:`make_schedule`
+    validates: a hand-built ``s`` with a repeated pair, a self-pair, a team
+    out of range or a wrong game count raises
+    :class:`ScheduleValidationError`.  Copies of a valid
+    round robin's blocks form a valid m-fold round robin, so the copy is
+    not checked again.
+
+    For schedules in which no team plays twice within a round block (both
+    generators in this module), the guaranteed rest time is unchanged by
+    this expansion; when every team plays in every round (even team counts)
+    the two difference indices are unchanged as well.  Byes stretch with the
+    factor, so odd-team schedules come out with a larger rest difference
+    index than they started with.
     """
     _check_count("duplication factor", factor, 1)
     if s.multiplicity != 1:
         raise ValueError(f"can only duplicate a single round robin, got m={s.multiplicity}")
+    games = make_schedule(s.team_count, 1, s.games).games
     g = round_structure(s.team_count).g
-    games: list[tuple[int, int]] = []
-    for start in range(0, len(s.games), g):
-        block = s.games[start:start + g]
-        for _ in range(factor):
-            games.extend(block)
-    return make_schedule(s.team_count, factor, games)
+    return Schedule(s.team_count, factor, tuple(chain.from_iterable(
+        games[start:start + g] * factor for start in range(0, len(games), g))))

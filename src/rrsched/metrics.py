@@ -58,45 +58,45 @@ def evaluate(s: Schedule) -> MetricsReport:
     """Compute every measure for the schedule in one pass over its games."""
     n = s.team_count
     last = [0] * (n + 1)  # position of each team's latest game; 0 is the virtual debut game
-    profiles: list[list[int]] = [[] for _ in range(n + 1)]
+    positions: list[list[int]] = [[] for _ in range(n + 1)]
     # outrested[t]: in some game after its first, t rested no longer than its opponent.
     outrested = [False] * (n + 1)
-    counts = [0] * (n + 1)
-    hist = [0] * (s.multiplicity * (n - 1) + 2)  # hist[c]: teams that have played c games
-    hist[0] = n
-    low = high = spread = rdi = 0
+    rdi = 0
     for idx, (a, b) in enumerate(s.games, start=1):
         last_a = last[a]
         last_b = last[b]
-        # Rests before this game are idx - last - 1, so they differ by last_a - last_b.
-        if last_a:
-            profiles[a].append(idx - last_a - 1)
-            if last_b <= last_a:
-                outrested[a] = True
-        if last_b:
-            profiles[b].append(idx - last_b - 1)
-            if last_a <= last_b:
-                outrested[b] = True
-        gap = last_a - last_b if last_a > last_b else last_b - last_a
-        if gap > rdi:
-            rdi = gap
+        # Rests before this game are idx - last - 1, so they differ by last_a - last_b,
+        # and the team that played later rested less.
+        if last_a > last_b:
+            outrested[a] = True
+            if last_a - last_b > rdi:
+                rdi = last_a - last_b
+        elif last_b > last_a:
+            outrested[b] = True
+            if last_b - last_a > rdi:
+                rdi = last_b - last_a
+        elif last_a:  # the two met in the latest game of each: equal rests
+            outrested[a] = outrested[b] = True
         last[a] = last[b] = idx
+        positions[a].append(idx)
+        positions[b].append(idx)
+    del positions[0]
 
-        count_a = counts[a]
-        count_b = counts[b]
-        counts[a] = count_a + 1
-        counts[b] = count_b + 1
-        hist[count_a] -= 1
-        hist[count_a + 1] += 1
-        hist[count_b] -= 1
-        hist[count_b + 1] += 1
-        if count_a == high or count_b == high:
-            high += 1
-        # Counts rise by one per game, so the minimum rises only when its last team leaves it.
-        if not hist[low]:
-            low += 1
-        if high - low > spread:
-            spread = high - low
+    profiles = [tuple([v - u - 1 for u, v in zip(p, p[1:])]) for p in positions]
+    # Every team plays m(n - 1) games.  Column j holds each team's (j+1)-th
+    # position: its minimum is when the most games played first reaches j+1,
+    # and its maximum when the fewest does.  The spread peaks just as the
+    # maximum rises, so p is the largest j + 1 - #{i : latest[i] <= first_j};
+    # both columns ascend, and the count is one walk along latest.
+    columns = list(zip(*positions))
+    latest = list(map(max, columns))
+    spread = behind = 0
+    for played, first in enumerate(map(min, columns), start=1):
+        # latest[i] >= first_i > first once i >= played, so behind stops there.
+        while behind < played and latest[behind] <= first:
+            behind += 1
+        if played - behind > spread:
+            spread = played - behind
 
     rests = [min(profile) for profile in profiles if profile]
     return MetricsReport(
@@ -105,9 +105,9 @@ def evaluate(s: Schedule) -> MetricsReport:
         guaranteed_rest_time=min(rests) if rests else None,
         games_played_difference_index=spread,
         rest_difference_index=rdi,
-        rest_profiles={t: tuple(profiles[t]) for t in s.teams},
+        rest_profiles=dict(zip(s.teams, profiles)),
         always_longer_rest_teams=frozenset(
-            t for t in s.teams if profiles[t] and not outrested[t]),
+            t for t, profile in zip(s.teams, profiles) if profile and not outrested[t]),
     )
 
 
@@ -122,6 +122,7 @@ def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
         "games_played_difference_index": report.games_played_difference_index,
         "rest_difference_index": report.rest_difference_index,
         "always_longer_rest_teams": sorted(report.always_longer_rest_teams),
-        "rest_profiles": {str(t): list(p) for t, p in sorted(report.rest_profiles.items())},
+        # json writes the int keys as strings and the tuples as arrays.
+        "rest_profiles": report.rest_profiles,
     }
     return json.dumps(doc, indent=indent) + "\n"

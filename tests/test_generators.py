@@ -3,6 +3,8 @@
 import pytest
 
 from rrsched import (
+    Schedule,
+    ScheduleValidationError,
     SearchConstraints,
     circle_schedule,
     duplicate_rounds,
@@ -189,6 +191,23 @@ class TestDuplicateRounds:
         dup = duplicate_rounds(circle_schedule(2), 3)
         assert len(dup) == 3 and dup.multiplicity == 3
 
+    # A Schedule built by hand skips make_schedule; duplicate_rounds checks it.
+    @pytest.mark.parametrize("games, message", [
+        (((1, 2), (1, 2), (2, 3)), r"pair \(1, 2\) occurs more than 1 time\(s\) at game 2"),
+        (((1, 1), (1, 3), (2, 3)), r"self-pair \(1, 1\) at game 1"),
+        (((1, 2), (1, 4), (2, 3)), r"team 4 out of range 1\.\.3 at game 2"),
+    ], ids=["repeated-pair", "self-pair", "out-of-range"])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_rejects_invalid_hand_built_input(self, games, message, factor):
+        with pytest.raises(ScheduleValidationError, match=message):
+            duplicate_rounds(Schedule(3, 1, games), factor)
+
+    def test_list_games_come_back_as_tuples(self):
+        dup = duplicate_rounds(Schedule(3, 1, [[1, 2], [1, 3], [2, 3]]), 2)
+        assert type(dup.games) is tuple
+        assert all(type(game) is tuple for game in dup.games)
+        assert dup == duplicate_rounds(make_schedule(3, 1, [(1, 2), (1, 3), (2, 3)]), 2)
+
 
 @pytest.mark.parametrize("build,match", [
     (lambda: circle_schedule(5.0), "n must be an integer"),
@@ -246,3 +265,15 @@ class TestGeneratedSchedulesValidate:
         s = odd_optimal_schedule(n)
         rebuilt = make_schedule(n, 1, list(s.games))
         assert rebuilt == s
+
+    # duplicate_rounds validates only its m = 1 input; each copy must pass
+    # the m-fold check as well.
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("build, sizes", [
+        (circle_schedule, range(2, 25)),
+        (odd_optimal_schedule, range(3, 24, 2)),
+    ], ids=["circle", "odd-optimal"])
+    def test_duplicates_revalidate(self, build, sizes, factor):
+        for n in sizes:
+            d = duplicate_rounds(build(n), factor)
+            assert make_schedule(n, factor, d.games) == d

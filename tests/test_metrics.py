@@ -154,11 +154,131 @@ def _check_written(report, indent=None):
     return doc
 
 
+# report_to_json's exact bytes for three reports: (schedule, text at
+# indent=None, text at indent=2).  The last has empty profiles and a null rest.
+_REPORT_BYTES = [
+    (lambda: odd_optimal_schedule(5),
+     '{"n": 5, "m": 1, "guaranteed_rest_time": 1, "games_played_difference_index": 1, '
+     '"rest_difference_index": 1, "always_longer_rest_teams": [2], "rest_profiles": '
+     '{"1": [1, 2, 2], "2": [2, 2, 2], "3": [1, 1, 1], "4": [2, 1, 1], "5": [1, 2, '
+     '1]}}\n',
+     """\
+{
+  "n": 5,
+  "m": 1,
+  "guaranteed_rest_time": 1,
+  "games_played_difference_index": 1,
+  "rest_difference_index": 1,
+  "always_longer_rest_teams": [
+    2
+  ],
+  "rest_profiles": {
+    "1": [
+      1,
+      2,
+      2
+    ],
+    "2": [
+      2,
+      2,
+      2
+    ],
+    "3": [
+      1,
+      1,
+      1
+    ],
+    "4": [
+      2,
+      1,
+      1
+    ],
+    "5": [
+      1,
+      2,
+      1
+    ]
+  }
+}
+"""),
+    (lambda: duplicate_rounds(circle_schedule(4), 2),
+     '{"n": 4, "m": 2, "guaranteed_rest_time": 0, "games_played_difference_index": 1, '
+     '"rest_difference_index": 1, "always_longer_rest_teams": [], "rest_profiles": '
+     '{"1": [1, 1, 1, 1, 1], "2": [1, 1, 1, 0, 1], "3": [1, 0, 1, 2, 1], "4": [1, 2, '
+     '1, 1, 1]}}\n',
+     """\
+{
+  "n": 4,
+  "m": 2,
+  "guaranteed_rest_time": 0,
+  "games_played_difference_index": 1,
+  "rest_difference_index": 1,
+  "always_longer_rest_teams": [],
+  "rest_profiles": {
+    "1": [
+      1,
+      1,
+      1,
+      1,
+      1
+    ],
+    "2": [
+      1,
+      1,
+      1,
+      0,
+      1
+    ],
+    "3": [
+      1,
+      0,
+      1,
+      2,
+      1
+    ],
+    "4": [
+      1,
+      2,
+      1,
+      1,
+      1
+    ]
+  }
+}
+"""),
+    (lambda: circle_schedule(2),
+     '{"n": 2, "m": 1, "guaranteed_rest_time": null, "games_played_difference_index": '
+     '0, "rest_difference_index": 0, "always_longer_rest_teams": [], "rest_profiles": '
+     '{"1": [], "2": []}}\n',
+     """\
+{
+  "n": 2,
+  "m": 1,
+  "guaranteed_rest_time": null,
+  "games_played_difference_index": 0,
+  "rest_difference_index": 0,
+  "always_longer_rest_teams": [],
+  "rest_profiles": {
+    "1": [],
+    "2": []
+  }
+}
+"""),
+]
+
+
 class TestReportToJson:
     def test_evaluated_reports_round_trip(self, rng):
         for n in range(2, 10):
             for m in (1, 2, 3):
                 _check_written(evaluate(random_schedule(rng, n, m)))
+
+    @pytest.mark.parametrize("build, compact, indented", _REPORT_BYTES,
+                             ids=["odd-optimal-5", "circle-4-doubled", "two-teams"])
+    def test_bytes_are_pinned(self, build, compact, indented):
+        report = evaluate(build())
+        assert report_to_json(report) == compact
+        assert report_to_json(report, indent=2) == indented
 
 
 class TestDuplicationInvariance:
@@ -234,7 +354,8 @@ class TestOracleAgreement:
             assert report.always_longer_rest_teams == brute_always_longer_rest_teams(s)
 
     def test_production_matches_brute_force_triple_round_robin(self, rng):
-        # Game counts reach m(n - 1), so the games-played histogram runs deeper at m = 3.
+        # Game counts reach m(n - 1), so the two position columns that p is
+        # read from run longer at m = 3.
         for _ in range(60):
             s = random_schedule(rng, rng.randint(3, 8), 3)
             report = evaluate(s)
@@ -243,6 +364,18 @@ class TestOracleAgreement:
                     == brute_games_played_difference_index(s))
             assert report.rest_difference_index == brute_rest_difference_index(s)
             assert report.always_longer_rest_teams == brute_always_longer_rest_teams(s)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_front_loaded_spread(self, n, m):
+        # Team 1 plays all its games first, m times over, and the other pairs
+        # follow in lexicographic order: p peaks at m(n - 2), as team 1 ends.
+        others = [(a, b) for a, b in all_pairs(n) if a != 1]
+        games = [(1, b) for b in range(2, n + 1)] * m + others * m
+        s = make_schedule(n, m, games)
+        spread = evaluate(s).games_played_difference_index
+        assert spread == brute_games_played_difference_index(s)
+        assert spread == m * (n - 2)
 
     def test_rest_profiles_are_appearance_gaps(self, rng):
         for _ in range(100):
