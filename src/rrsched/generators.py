@@ -120,10 +120,9 @@ def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
 
     Requires a single round robin (m = 1), which :func:`make_schedule`
     validates: a hand-built ``s`` with a repeated pair, a self-pair, a team
-    out of range or a wrong game count raises
-    :class:`ScheduleValidationError`.  Copies of a valid
-    round robin's blocks form a valid m-fold round robin, so the copy is
-    not checked again.
+    out of range or a wrong game count raises :class:`ScheduleValidationError`.
+    Copies of a valid round robin's blocks form a valid m-fold round robin,
+    so the copy is not checked again.
 
     For schedules in which no team plays twice within a round block (both
     generators in this module), the guaranteed rest time is unchanged by

@@ -10,13 +10,14 @@ Three per-schedule numbers plus per-team diagnostics:
   participants' rests since their previous games.  Debuts are anchored to a
   virtual game one position before the schedule starts, shared by all teams.
 
-:func:`evaluate` computes all of them in one pass over the games.  It keeps
-each team's latest position, which gives the team's rest before each game
-and the rest difference as the gap between the two latest positions, and a
-histogram of games played: the maximum count rises with the team that
-reaches it, and the minimum rises only when the last team at it plays, so
-the games-played spread costs O(1) per game.  It is the one way to read a
-measure: each is a field of the :class:`MetricsReport` it returns.
+:func:`evaluate` computes all of them in one pass over the games.  The pass
+keeps what depends on the order of games: each team's latest position,
+which gives the rest difference as the gap between the two latest
+positions, and the list of each team's positions.  The rest profiles are
+the gaps between consecutive positions, and the games-played spread is read
+from two columns: the earliest and the latest (j+1)-th position over all
+teams (the derivation is in ``notes/decisions.md``).  It is the one way to
+read a measure: each is a field of the :class:`MetricsReport` it returns.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def evaluate(s: Schedule) -> MetricsReport:
 
 
 def report_to_json(report: MetricsReport, indent: int | None = None) -> str:
-    """Structured form of a report: a JSON object with teams in ascending order."""
+    """Structured form of a report: a JSON object that holds ``rest_profiles``
+    as stored, with teams in ascending order in every report from :func:`evaluate`."""
     import json  # only the structured format loads the json modules
 
     doc = {
