@@ -31,6 +31,16 @@ found no schedule, where the schedules themselves are kept).
 ``nodes_explored`` therefore counts every node of the pruned tree, the
 nodes of reused subtrees included, exactly as a walk without reuse would.
 
+A count run without ``max_rdi`` also keeps, for the length of one walk, a
+table from walk state to the counts of the subtree below it.  The nodes
+below a node depend only on its state, and without ``max_rdi`` that is the
+set of used pairs and the order of the last ``min_rest`` games, so any
+later node that reaches a state already walked in full (by another order of
+the same games, say) adds those counts instead of walking it again.  It
+does so only where more than three teams are free to play at each
+position; with three or fewer the order is nearly forced and states seldom
+repeat.
+
 A run with ``jobs > 1`` walks in this process until it has walked a node
 budget (reused nodes do not count); a run that ends sooner starts no
 process.  Past the budget the walk records each subtree it would have
@@ -59,6 +69,17 @@ MODES = ("first", "count", "enumerate")
 # takes under the ``fork`` start method (``spawn`` and ``forkserver`` take
 # several times longer), so a run that ends sooner never waits for a pool.
 _SPLIT_BUDGET = 30_000
+
+# A count run without max_rdi looks up subtree counts by walk state when at
+# least this many teams are free to play at each position, n - 2 * min_rest.
+# With three, as for odd n at the largest rest, the order of the games is
+# nearly forced and states seldom repeat: 9 of about 79,000 lookups hit in
+# the 13-team max-rest count, and a table made it 1.5x as long.
+_TABLE_MIN_FREE = 4
+# Entries the table keeps at most: a 10-team count that filled it held
+# 171 MB resident.  Past them the table is still read but no longer grows,
+# so a long count keeps bounded memory.
+_TABLE_LIMIT = 1 << 20
 
 
 class SearchConstraints(_Record):
@@ -132,6 +153,9 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     ``twins`` below) has a subtree with the same schedule and node counts,
     so the walk adds the sibling's counts instead of walking it: in count
     mode always, and when ``keep`` is true only if the sibling found none.
+    A count walk without ``max_rdi`` also adds the counts of an earlier node
+    with the same state (see ``tabled`` below), if that node's subtree left
+    no task.
 
     Once ``budget`` nodes are walked (reused ones do not count) the walk
     places no more games: it appends each later candidate that passes every
@@ -295,13 +319,64 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 hist[count_b + 1] -= 1
         return False
 
+    walk_from = extend
+    if not keep and constraints.max_rdi is None and n - 2 * rest >= _TABLE_MIN_FREE:
+        # state -> (found, nodes) below a node walked in full.
+        # Below a node only its state counts (notes/decisions.md): the set
+        # of used pairs and the last ``rest`` games in order, since without
+        # max_rdi a latest position matters only through ``last > cut``.
+        # One int holds it: bit ``tail_bits + code`` per used pair and, in
+        # the low ``tail_bits``, the codes of the last ``rest`` games.
+        table = {}
+        states = [0] * total  # states[p]: the state after the first p games
+        n1 = n + 1
+        width = (n1 * n1).bit_length()
+        tail_bits = width * rest
+        tail_mask = (1 << tail_bits) - 1
+
+        def tabled(depth, remaining, cut, cap, low, high):
+            # The node of the game at position depth - 1, already counted.
+            nonlocal nodes, found, spent
+            a, b = games[-1]
+            code = a * n1 + b
+            parent = states[depth - 2]
+            tail = parent & tail_mask
+            state = (parent ^ tail | 1 << tail_bits + code
+                     | (tail << width | code) & tail_mask)
+            below = table.get(state)
+            if below is not None:
+                # Reused nodes do not count against the budget.
+                found += below[0]
+                nodes += below[1]
+                spent += below[1]
+                return False
+            states[depth - 1] = state
+            found_before = found
+            nodes_before = nodes
+            walk_from(depth, remaining, cut, cap, low, high)
+            # A subtree that left tasks is stored too, but never looked up:
+            # once the budget is spent the walk places no more games.
+            if len(table) < _TABLE_LIMIT:
+                table[state] = (found - found_before, nodes - nodes_before)
+            return False
+
+        # extend's recursive calls now go through the table.  It is a
+        # wrapper, not code inside extend, because extend's frame size is
+        # part of its speed: CPython 3.11 maps and unmaps a fresh 16 KiB
+        # frame-stack chunk each time the recursion crosses a chunk edge.
+        extend = tabled
     # The prefix games go last, in reverse, so that each is the last pair at
     # its level: no sibling follows it, and below the prefix the unused pairs
     # are in ascending order again.
     pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
              if (a, b) not in prefix]
     pairs.extend(reversed(prefix))
-    extend(1, pairs, 0, 1 if symmetry else n + 1, 0, 0)
+    try:
+        walk_from(1, pairs, 0, 1 if symmetry else n + 1, 0, 0)
+    finally:
+        # extend reaches itself through its closure; dropping the name ends
+        # that cycle, so the walk's lists and table go when this call returns.
+        del extend
     return _Walked(emissions, emission_nodes, found, nodes)
 
 
@@ -335,7 +410,8 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     ``limit`` of them in lexicographic order; another mode with a ``limit``
     raises ``ValueError``.  ``nodes_explored`` is the size of the pruned
     tree the run covered, including the subtrees it reused from a
-    twin-swapped sibling rather than walked.  Results, ``nodes_explored``
+    twin-swapped sibling, or from an earlier node with the same state,
+    rather than walked.  Results, ``nodes_explored``
     included, do not depend on ``jobs``.  With ``jobs > 1`` the walk starts
     in this process; a run that ends within a fixed budget of walked nodes
     starts no worker process.  Otherwise the subtrees left unwalked go to a

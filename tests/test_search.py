@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import gc
 import hashlib
 import importlib
 import itertools
@@ -205,6 +206,10 @@ class TestExactCounts:
         (8, dict(min_rest=2, max_gpd=2, max_rdi=1), "first", None, None, 2508, 0),
         (8, dict(min_rest=2, max_gpd=1, max_rdi=2), "first", None, None, 953, 1),
         (6, dict(min_rest=1), "enumerate", 2000, None, 23653, 2000),
+        # No catalogue count keeps a table keyed by a two-game tail; this
+        # one does (measured before the walk kept a table of subtree counts
+        # by state).
+        (8, dict(min_rest=2, max_gpd=1), "count", None, 560128, 5519244, 560128),
     ])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pinned_counts(self, n, bounds, mode, limit, count, nodes, solutions, jobs):
@@ -223,6 +228,109 @@ class TestExactCounts:
         outcome = search(n, SearchConstraints(min_rest=(n - 3) // 2), mode="count",
                          jobs=jobs, allow_large=True)
         assert (outcome.count, outcome.nodes_explored) == (count, nodes)
+
+
+def _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry):
+    """(schedules, accepted placements) of a plain depth-first walk that
+    tries the unused pairs in ascending order and tests each bound from its
+    definition on the prefix: rest since a team's previous game, the spread
+    of games played over all teams, and the difference of the two teams'
+    rests with a shared game before the schedule at position 0.  Under
+    symmetry breaking the labels seen so far must be 1 to some m."""
+    pairs = all_pairs(n)
+    total = len(pairs)
+    used = [False] * total
+    previous = [0] * (n + 1)  # position of each team's previous game, 0 if none
+    played = [0] * (n + 1)
+    found = nodes = 0
+
+    def place(position, seen):
+        nonlocal found, nodes
+        for i, (a, b) in enumerate(pairs):
+            if used[i]:
+                continue
+            if symmetry and max(b, seen) != seen + (a > seen) + (b > seen):
+                continue
+            rest_a = position - previous[a] - 1
+            rest_b = position - previous[b] - 1
+            if min_rest is not None and ((previous[a] and rest_a < min_rest)
+                                         or (previous[b] and rest_b < min_rest)):
+                continue
+            if max_rdi is not None and abs(rest_a - rest_b) > max_rdi:
+                continue
+            played[a] += 1
+            played[b] += 1
+            if max_gpd is None or max(played[1:]) - min(played[1:]) <= max_gpd:
+                nodes += 1
+                if position == total:
+                    found += 1
+                else:
+                    used[i] = True
+                    previous_a, previous_b = previous[a], previous[b]
+                    previous[a] = previous[b] = position
+                    place(position + 1, max(b, seen))
+                    previous[a], previous[b] = previous_a, previous_b
+                    used[i] = False
+            played[a] -= 1
+            played[b] -= 1
+
+    place(1, 0)
+    return found, nodes
+
+
+def _plain_grid():
+    # Every five-team bound triple from min_rest in {1, 2}, max_gpd 1 and
+    # max_rdi in {1, 2} with at least one bound set, and one six-team count
+    # whose table holds a tail of one game without being forced on.
+    for triple in itertools.product((None, 1, 2), (None, 1), (None, 1, 2)):
+        if triple != (None, None, None):
+            for symmetry in (True, False):
+                yield pytest.param(5, *triple, symmetry,
+                                   id=f"n5-{triple}-{'sym' if symmetry else 'all'}")
+    yield pytest.param(6, 1, 1, None, True, id="n6-(1, 1, None)-sym")
+
+
+class TestPlainWalkCounts:
+    """Counts and node counts of ``search`` against ``_plain_walk``, which
+    neither reuses twin subtrees nor keeps a table of states."""
+
+    @pytest.mark.parametrize("n, min_rest, max_gpd, max_rdi, symmetry", _plain_grid())
+    def test_count_matches_a_plain_walk(self, split, monkeypatch, n, min_rest, max_gpd,
+                                        max_rdi, symmetry):
+        expected = _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry)
+        constraints = SearchConstraints(min_rest, max_gpd, max_rdi)
+        set_budget, started = split
+        # A table in every run that may keep one, also one full at 20
+        # entries, and a table only where it is kept.
+        settings = [(search_module._TABLE_MIN_FREE, search_module._TABLE_LIMIT)]
+        if max_rdi is None:
+            settings += [(0, search_module._TABLE_LIMIT), (0, 20)]
+        for min_free, limit in settings:
+            monkeypatch.setattr(search_module, "_TABLE_MIN_FREE", min_free)
+            monkeypatch.setattr(search_module, "_TABLE_LIMIT", limit)
+            solo = search(n, constraints, "count", symmetry_breaking=symmetry)
+            assert (solo.count, solo.nodes_explored) == expected
+            for budget in (1, 40):
+                set_budget(budget)
+                outcome = search(n, constraints, "count", symmetry_breaking=symmetry, jobs=2)
+                assert (outcome.count, outcome.nodes_explored) == expected, budget
+        assert started  # the budgets did reach the stand-in pool
+
+
+class TestWalkLifetime:
+    # The walk's recursive closure was a reference cycle, so each run left
+    # its lists, and a count run its table, for the cyclic collector.
+    @pytest.mark.parametrize("mode, limit", [("count", None), ("enumerate", 50)])
+    def test_search_leaves_nothing_for_the_collector(self, mode, limit):
+        run = functools.partial(search, 6, SearchConstraints(min_rest=1), mode, limit)
+        run()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOracleCounts:
@@ -381,6 +489,17 @@ class TestBudgetedSplit:
             assert outcome == expected, case
         assert started  # the grid did reach the pool
         assert all(pool.cancel_futures is True for pool in started)
+
+    # 593,867 nodes, of which about 20,000 are placed: the rest are reused
+    # from the table of states or from twins, and do not count against the
+    # budget, so the default one leaves no task.
+    @pytest.mark.parametrize("budget, pools", [(search_module._SPLIT_BUDGET, 0), (5000, 1)])
+    def test_reused_nodes_leave_the_budget_alone(self, split, budget, pools):
+        set_budget, started = split
+        set_budget(budget)
+        outcome = search(6, SearchConstraints(min_rest=1), mode="count", jobs=2)
+        assert (outcome.count, outcome.nodes_explored) == (74656, 593867)
+        assert len(started) == pools
 
     def test_worker_count_is_capped_at_the_cpu_count(self, split, monkeypatch):
         set_budget, started = split
