@@ -14,12 +14,12 @@ labelings (schedules whose opening game introduces two teams at once still
 have interchangeable labels and are not quotiented further).
 
 One function, ``_walk``, is the sequential run, the in-process start of a
-parallel run and each pool task.  It places one game per recursion level
-and undoes it on return; it passes the shrinking list of unused pairs down
-the recursion and keeps each team's latest position and, under
-``max_gpd``, a histogram of games played, so each bound is an O(1) test
-per candidate pair.  It collects the complete schedules it meets and
-stops at a quota, which serves mode "first" and the ``limit`` of mode
+parallel run and each pool task.  It is one loop over a stack with an
+entry per placed game, popped when the game is undone.  Each level has its
+own list of unused pairs, and the walk keeps each team's latest position
+and, under ``max_gpd``, a histogram of games played, so each bound is an
+O(1) test per candidate pair.  It collects the complete schedules it meets
+and stops at a quota, which serves mode "first" and the ``limit`` of mode
 "enumerate", and returns them with its counts.
 
 Two teams that have just met each other, had met the same opponents before
@@ -74,7 +74,7 @@ _SPLIT_BUDGET = 30_000
 # least this many teams are free to play at each position, n - 2 * min_rest.
 # With three, as for odd n at the largest rest, the order of the games is
 # nearly forced and states seldom repeat: 9 of about 79,000 lookups hit in
-# the 13-team max-rest count, and a table made it 1.5x as long.
+# the 13-team max-rest count, and a table made it 1.2-1.3x as long.
 _TABLE_MIN_FREE = 4
 # Entries the table keeps at most: a 10-team count that filled it held
 # 171 MB resident.  Past them the table is still read but no longer grows,
@@ -142,7 +142,7 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     """Depth-first walk below the forced ``prefix``, in this process or in a
     worker; ``walk`` is ``(n, constraints, symmetry, keep, quota)``.
 
-    Each recursion level places one game, trying the unused pairs in
+    Each level of the walk places one game, trying the unused pairs in
     ascending order.  The first ``len(prefix)`` levels try only the game of
     ``prefix``, and of those only the last counts as a node, so the node
     counts of the walks below the children of a node add up, with that
@@ -154,7 +154,7 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     so the walk adds the sibling's counts instead of walking it: in count
     mode always, and when ``keep`` is true only if the sibling found none.
     A count walk without ``max_rdi`` also adds the counts of an earlier node
-    with the same state (see ``tabled`` below), if that node's subtree left
+    with the same state (see ``table`` below), if that node's subtree left
     no task.
 
     Once ``budget`` nodes are walked (reused ones do not count) the walk
@@ -200,19 +200,43 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     # if the sibling found none.
     share_tasks = not keep or quota == 1
 
-    def extend(depth, remaining, cut, cap, low, high):
-        # cut: a team whose latest game lies after this position rests less
-        #   than min_rest before the game at ``depth``.
-        # cap: the lowest unseen label under symmetry breaking (n + 1 without):
-        #   a pair may introduce cap, or cap and cap + 1, but no higher label.
-        # low, high: the fewest and most games played by any team so far.
-        nonlocal nodes, found, spent
-        # orbit key -> (found, nodes, *tasks) of an earlier twin sibling: the
-        # counts it walked here and the tasks it left; made at the first key
-        reusable = None
-        # The prefix game is the last unused pair at its level.
-        for i, pair in (enumerate(remaining) if depth > forced
-                        else enumerate(remaining[-1:], len(remaining) - 1)):
+    table = None
+    if not keep and constraints.max_rdi is None and n - 2 * rest >= _TABLE_MIN_FREE:
+        # state -> (found, nodes) below a node walked in full.  Below a node
+        # only its state counts (notes/decisions.md): the set of used pairs
+        # and the last ``rest`` games in order, since without max_rdi a latest
+        # position matters only through ``last > cut``.  One int holds it: bit
+        # ``tail_bits + code`` per used pair above the last games' codes.
+        table = {}
+        n1 = n + 1
+        width = (n1 * n1).bit_length()
+        tail_bits = width * rest
+        tail_mask = (1 << tail_bits) - 1
+    # The prefix games go last, in reverse, so that each is the last pair at
+    # its level: no sibling follows it, and below the prefix the unused pairs
+    # are in ascending order again.
+    remaining = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
+                 if (a, b) not in prefix]
+    remaining.extend(reversed(prefix))
+    depth = 1  # the position of the next game
+    # cut: a team whose latest game lies after this position rests less
+    #   than min_rest before the game at ``depth``.
+    cut = 0
+    # cap: the lowest unseen label under symmetry breaking (n + 1 without):
+    #   a pair may introduce cap, or cap and cap + 1, but no higher label.
+    cap = 1 if symmetry else n + 1
+    low = high = 0  # the fewest and most games played by any team so far
+    # orbit key -> (found, nodes, *tasks) of an earlier twin sibling: the
+    # counts it walked here and the tasks it left; made at the first key
+    reusable = None
+    state = next_state = 0  # the table's keys here and after the candidate
+    # The prefix game is the last unused pair at its level.
+    candidates = (enumerate(remaining) if depth > forced
+                  else enumerate(remaining[-1:], len(remaining) - 1))
+    stack = []  # one entry per placed game, made just before it is placed
+    count_a = count_b = 0  # games played by a and b, read only under max_gpd
+    while True:
+        for i, pair in candidates:
             a, b = pair
             if b > cap and (b > cap + 1 or a != cap):
                 continue
@@ -273,8 +297,30 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                     emissions.append((*games, pair))
                     emission_nodes.append(nodes)
                 if found == quota:
-                    return True
+                    return _Walked(emissions, emission_nodes, found, nodes)
                 continue
+            if table is not None:
+                code = a * n1 + b
+                tail = state & tail_mask
+                next_state = (state ^ tail | 1 << tail_bits + code
+                              | (tail << width | code) & tail_mask)
+                below = table.get(next_state)
+                if below is not None:
+                    # Reused nodes do not count against the budget, and in a
+                    # count run a twin image takes the counts found or not.
+                    found += below[0]
+                    nodes += below[1]
+                    spent += below[1]
+                    if key:
+                        reusable[key] = (below[0], below[1] + 1)
+                    continue
+            # What this level goes on with, what undoes the game, and the
+            # counts (this node's included) and tasks before its subtree.
+            played_a = played[a]
+            played_b = played[b]
+            stack.append((candidates, remaining, cut, cap, low, high, reusable, state,
+                          key, last_a, last_b, played_a, played_b, count_a, count_b,
+                          found, nodes, key and len(tasks)))
             if gpd is not None:
                 counts[a] = count_a + 1
                 counts[b] = count_b + 1
@@ -283,29 +329,43 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 hist[count_b] -= 1
                 hist[count_b + 1] += 1
             last[a] = last[b] = depth
-            played_a = played[a]
-            played_b = played[b]
             twins[depth] = a + b if played_a == played_b else 0
             played[a] = played_a | 1 << b
             played[b] = played_b | 1 << a
             games.append(pair)
-            child = remaining.copy()
-            del child[i]
-            if key:
-                found_before = found
-                nodes_before = nodes - 1
-                tasks_before = len(tasks)
-            if extend(depth + 1, child, depth - rest if depth > rest else 0,
-                      b + 1 if b >= cap else cap, lo, hi):
-                return True
+            remaining = remaining.copy()
+            del remaining[i]
+            cut = depth - rest if depth > rest else 0
+            if b >= cap:
+                cap = b + 1
+            low, high = lo, hi
+            reusable = None
+            state = next_state
+            depth += 1
+            candidates = (enumerate(remaining) if depth > forced
+                          else enumerate(remaining[-1:], len(remaining) - 1))
+            break
+        else:
+            # Every candidate at this level is done: undo the game above it.
+            if not stack:
+                return _Walked(emissions, emission_nodes, found, nodes)
+            walked = state
+            (candidates, remaining, cut, cap, low, high, reusable, state,
+             key, last_a, last_b, played_a, played_b, count_a, count_b,
+             found_before, nodes_before, tasks_before) = stack.pop()
+            depth -= 1
+            if table is not None and len(table) < _TABLE_LIMIT:
+                # A subtree that left tasks is stored too, but never looked
+                # up: once the budget is spent the walk places no more games.
+                table[walked] = (found - found_before, nodes - nodes_before)
             if key:
                 if nodes != spent:
                     if found == found_before or not keep:
-                        reusable[key] = (found - found_before, nodes - nodes_before)
+                        reusable[key] = (found - found_before, nodes - nodes_before + 1)
                 elif share_tasks:
-                    reusable[key] = (found - found_before, nodes - nodes_before,
+                    reusable[key] = (found - found_before, nodes - nodes_before + 1,
                                      *tasks[tasks_before:])
-            games.pop()
+            a, b = games.pop()
             played[a] = played_a
             played[b] = played_b
             last[a] = last_a
@@ -317,67 +377,6 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 hist[count_a + 1] -= 1
                 hist[count_b] += 1
                 hist[count_b + 1] -= 1
-        return False
-
-    walk_from = extend
-    if not keep and constraints.max_rdi is None and n - 2 * rest >= _TABLE_MIN_FREE:
-        # state -> (found, nodes) below a node walked in full.
-        # Below a node only its state counts (notes/decisions.md): the set
-        # of used pairs and the last ``rest`` games in order, since without
-        # max_rdi a latest position matters only through ``last > cut``.
-        # One int holds it: bit ``tail_bits + code`` per used pair and, in
-        # the low ``tail_bits``, the codes of the last ``rest`` games.
-        table = {}
-        states = [0] * total  # states[p]: the state after the first p games
-        n1 = n + 1
-        width = (n1 * n1).bit_length()
-        tail_bits = width * rest
-        tail_mask = (1 << tail_bits) - 1
-
-        def tabled(depth, remaining, cut, cap, low, high):
-            # The node of the game at position depth - 1, already counted.
-            nonlocal nodes, found, spent
-            a, b = games[-1]
-            code = a * n1 + b
-            parent = states[depth - 2]
-            tail = parent & tail_mask
-            state = (parent ^ tail | 1 << tail_bits + code
-                     | (tail << width | code) & tail_mask)
-            below = table.get(state)
-            if below is not None:
-                # Reused nodes do not count against the budget.
-                found += below[0]
-                nodes += below[1]
-                spent += below[1]
-                return False
-            states[depth - 1] = state
-            found_before = found
-            nodes_before = nodes
-            walk_from(depth, remaining, cut, cap, low, high)
-            # A subtree that left tasks is stored too, but never looked up:
-            # once the budget is spent the walk places no more games.
-            if len(table) < _TABLE_LIMIT:
-                table[state] = (found - found_before, nodes - nodes_before)
-            return False
-
-        # extend's recursive calls now go through the table.  It is a
-        # wrapper, not code inside extend, because extend's frame size is
-        # part of its speed: CPython 3.11 maps and unmaps a fresh 16 KiB
-        # frame-stack chunk each time the recursion crosses a chunk edge.
-        extend = tabled
-    # The prefix games go last, in reverse, so that each is the last pair at
-    # its level: no sibling follows it, and below the prefix the unused pairs
-    # are in ascending order again.
-    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)
-             if (a, b) not in prefix]
-    pairs.extend(reversed(prefix))
-    try:
-        walk_from(1, pairs, 0, 1 if symmetry else n + 1, 0, 0)
-    finally:
-        # extend reaches itself through its closure; dropping the name ends
-        # that cycle, so the walk's lists and table go when this call returns.
-        del extend
-    return _Walked(emissions, emission_nodes, found, nodes)
 
 
 def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):

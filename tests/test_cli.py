@@ -235,6 +235,14 @@ class TestSearch:
         assert code == 0
         assert "count: 720" in out
 
+    # The walk once recursed a level per game and died here with a
+    # RecursionError and exit 1, the code for "no schedule".
+    def test_walk_deeper_than_the_recursion_limit(self, capsys):
+        code, out, _ = run(capsys, "search", "--teams", "46", "--mode", "first",
+                           "--allow-large")
+        assert code == 0
+        assert out.splitlines()[-1] == "# nodes explored: 1035"
+
     def test_oversized_without_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "--teams", "9", "--min-rest", "4",
                            "--mode", "first")

@@ -197,28 +197,31 @@ class TestCountsAndLimits:
 
 class TestExactCounts:
     # (count, nodes_explored) with symmetry breaking on; any change to the
-    # order or the pruning of the walk moves these numbers.
-    @pytest.mark.parametrize("n, bounds, mode, limit, count, nodes, solutions", [
-        (5, dict(max_gpd=1), "count", None, 640, 1882, 640),
-        (6, dict(max_rdi=1), "count", None, 8128, 319235, 8128),
-        (6, dict(min_rest=1, max_rdi=2), "count", None, 8384, 84159, 8384),
-        (7, dict(min_rest=2), "count", None, 16, 1361, 16),
-        (8, dict(min_rest=2, max_gpd=2, max_rdi=1), "first", None, None, 2508, 0),
-        (8, dict(min_rest=2, max_gpd=1, max_rdi=2), "first", None, None, 953, 1),
-        (6, dict(min_rest=1), "enumerate", 2000, None, 23653, 2000),
+    # order or the pruning of the walk moves these numbers.  TestCatalogue
+    # pins the catalogue's cases through a stand-in pool; these two counts
+    # also go through a real one at the default budget.
+    @pytest.mark.parametrize("n, bounds, count, nodes, jobs", [
         # No catalogue count keeps a table keyed by a two-game tail; this
         # one does (measured before the walk kept a table of subtree counts
         # by state).
-        (8, dict(min_rest=2, max_gpd=1), "count", None, 560128, 5519244, 560128),
+        pytest.param(8, dict(min_rest=2, max_gpd=1), 560128, 5519244, 1,
+                     id="n8-rest2-gpd1-jobs1"),
+        pytest.param(8, dict(min_rest=2, max_gpd=1), 560128, 5519244, 2,
+                     id="n8-rest2-gpd1-jobs2"),
+        # The only catalogue case that walks past the default budget.
+        pytest.param(6, dict(max_rdi=1), 8128, 319235, 2, id="n6-rdi1-jobs2"),
     ])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_pinned_counts(self, n, bounds, mode, limit, count, nodes, solutions, jobs):
-        outcome = search(n, SearchConstraints(**bounds), mode=mode, limit=limit, jobs=jobs)
+    def test_pinned_counts(self, n, bounds, count, nodes, jobs):
+        outcome = search(n, SearchConstraints(**bounds), mode="count", jobs=jobs)
         assert (outcome.count, outcome.nodes_explored) == (count, nodes)
-        if mode == "first":
-            assert (outcome.found is not None) == solutions
-        elif mode == "enumerate":
-            assert len(outcome.schedules) == solutions
+
+    # Each level of the walk places one game, and this run places all 1,035
+    # without going back, more levels than the interpreter's default
+    # recursion limit of 1,000 frames.
+    def test_walk_deeper_than_the_recursion_limit(self):
+        outcome = search(46, SearchConstraints(), "first", allow_large=True)
+        assert outcome.nodes_explored == 1035
+        assert make_schedule(46, 1, outcome.found.games) == outcome.found
 
     # The odd max-rest counts, 2^(k+1) canonical labelings: the walk reuses
     # most of these trees, and the node counts are those of a full walk.
