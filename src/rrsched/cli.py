@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="enumerate raw labelings instead of canonical ones")
     se.add_argument("--jobs", type=int, default=1,
                     help="worker processes, at most the CPU count; output is identical "
-                         "for any value")
+                         "for any value; an enumerate run with --limit walks in one "
+                         "process, since a pool made it slower")
     se.add_argument("--allow-large", action="store_true",
                     help="permit team counts and unconstrained runs the tool would refuse")
 

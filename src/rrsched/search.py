@@ -45,8 +45,10 @@ A run with ``jobs > 1`` walks in this process until it has walked a node
 budget (reused nodes do not count); a run that ends sooner starts no
 process.  Past the budget the walk records each subtree it would have
 entered next as a task, a prefix of games, in walk order.  A process pool
-walks the tasks, and their results are merged in walk order, so the
-outcome and ``nodes_explored`` equal those of one walk.
+walks the tasks, and their results are merged whole in walk order, so the
+outcome and ``nodes_explored`` equal those of one walk.  An "enumerate"
+run with a ``limit`` would need the merge to stop partway through a
+result, and a pool made it slower, so it makes one walk in this process.
 """
 
 from __future__ import annotations
@@ -126,13 +128,11 @@ class SearchOutcome(_Record):
 
 
 class _Walked(NamedTuple):
-    """What one walk found: ``emissions[i]`` was emitted when its node
-    counter read ``emission_nodes[i]`` (both empty in count mode and for
-    the reused counts of a twin sibling), and it counted ``found``
-    schedules and ``nodes`` nodes in all."""
+    """What one walk found: the schedules it emitted (none in count mode and
+    for the reused counts of a twin sibling), and the ``found`` schedules
+    and ``nodes`` nodes it counted.  Pool results are merged whole."""
 
     emissions: Sequence[tuple[tuple[int, int], ...]]
-    emission_nodes: Sequence[int]
     found: int
     nodes: int
 
@@ -187,7 +187,6 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     twins = [0] * (total + 1)
     games: list[tuple[int, int]] = []
     emissions: list[tuple[tuple[int, int], ...]] = []
-    emission_nodes: list[int] = []
     found = 0
     forced = len(prefix)
     nodes = 1 - forced if forced else 0
@@ -281,7 +280,7 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                             spent += twin[1]
                         else:
                             if twin[1]:
-                                tasks.append(_Walked((), (), twin[0], twin[1]))
+                                tasks.append(_Walked((), twin[0], twin[1]))
                             tasks.extend(twin[2:])
                         continue
             if nodes == spent:
@@ -295,9 +294,8 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 found += 1
                 if keep:
                     emissions.append((*games, pair))
-                    emission_nodes.append(nodes)
                 if found == quota:
-                    return _Walked(emissions, emission_nodes, found, nodes)
+                    return _Walked(emissions, found, nodes)
                 continue
             if table is not None:
                 code = a * n1 + b
@@ -348,7 +346,7 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
         else:
             # Every candidate at this level is done: undo the game above it.
             if not stack:
-                return _Walked(emissions, emission_nodes, found, nodes)
+                return _Walked(emissions, found, nodes)
             walked = state
             (candidates, remaining, cut, cap, low, high, reusable, state,
              key, last_a, last_b, played_a, played_b, count_a, count_b,
@@ -411,11 +409,14 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     tree the run covered, including the subtrees it reused from a
     twin-swapped sibling, or from an earlier node with the same state,
     rather than walked.  Results, ``nodes_explored``
-    included, do not depend on ``jobs``.  With ``jobs > 1`` the walk starts
-    in this process; a run that ends within a fixed budget of walked nodes
-    starts no worker process.  Otherwise the subtrees left unwalked go to a
-    pool of at most ``min(jobs, os.cpu_count())`` worker processes, and
-    their results are merged in walk order.
+    included, do not depend on ``jobs``.  With ``jobs > 1`` a count,
+    a "first" run or an "enumerate" run without a ``limit`` starts its
+    walk in this process; a run that ends within a fixed budget of walked
+    nodes starts no worker process.  Otherwise the subtrees left unwalked go
+    to a pool of at most ``min(jobs, os.cpu_count())`` worker processes, and
+    their results are merged whole, in walk order.  An "enumerate" run with
+    a ``limit`` walks in this process alone: its merge would have to stop
+    partway through a result, and a pool made those runs slower.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
@@ -428,19 +429,15 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     count = nodes = 0
 
     def merge(walked: _Walked) -> bool:
-        # Walks arrive in walk order; stop where a sequential run would have.
+        # Walks arrive in walk order.  Each stops at its quota, so only a
+        # "first" run stops, after the result that holds its schedule.
         nonlocal count, nodes
-        if quota is not None and len(collected) + walked.found >= quota:
-            take = quota - len(collected)
-            collected.extend(walked.emissions[:take])
-            nodes += walked.emission_nodes[take - 1]
-            return True
         count += walked.found
         collected.extend(walked.emissions)
         nodes += walked.nodes
-        return False
+        return count == quota
 
-    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 and limit is None else 1
     entries: list = []
     if not merge(_walk(walk, (), _SPLIT_BUDGET if workers > 1 else None, entries)) and entries:
         _search_parallel(walk, workers, entries, merge)
@@ -459,13 +456,13 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 def _search_parallel(walk, workers: int, entries: list, merge) -> None:
     """Walk in a pool the tasks the budgeted walk left, and merge in walk order.
 
-    ``entries`` holds the tasks, and the reused results of twin siblings
-    that follow them, in walk order.  A count run, or one that stops at its
-    first schedule, may list a task more than once (as its twin images): the
-    pool walks it once and the merge uses its result at each place.  The
-    pool's ``map`` feeds its workers only about one task each ahead of the
-    merge, and shutting it down cancels the tasks it has not fed, so a run
-    that stops at its quota leaves little work behind.
+    The run has no limit, so each result is merged whole.  ``entries`` holds
+    the tasks, and the reused results of twin siblings that follow them, in
+    walk order.  A count or "first" run may list a task more than once (as
+    its twin images): the pool walks it once and the merge uses its result
+    at each place.  The pool's ``map`` feeds its workers only about one task
+    each ahead of the merge, and shutting it down cancels the tasks it has
+    not fed, so a "first" run that stops leaves little work behind.
     """
     tasks = list(dict.fromkeys(entry for entry in entries
                                if not isinstance(entry, _Walked)))

@@ -521,6 +521,16 @@ class TestBudgetedSplit:
         search(5, SearchConstraints(min_rest=1), mode="count", jobs=8)
         assert started == []
 
+    def test_limited_enumerate_walks_in_this_process(self, split):
+        # Its merge would have to stop partway through a pool result, so a
+        # run with a limit makes one walk here, which stops at the limit.
+        set_budget, started = split
+        set_budget(1)
+        constraints = SearchConstraints(min_rest=1)
+        outcome = search(6, constraints, "enumerate", limit=5, jobs=2)
+        assert outcome == search(6, constraints, "enumerate", limit=5)
+        assert started == []
+
     def test_first_mode_stops_handing_out_tasks(self, split):
         set_budget, started = split
         set_budget(1)
@@ -583,10 +593,12 @@ class TestBudgetedSplit:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        cases = [(6, SearchConstraints(min_rest=1), "enumerate", 5, True),
+        # The enumerate runs merge emitted schedules: 8 in 92 nodes, and
+        # 240 in 2,740 nodes.
+        cases = [(5, SearchConstraints(min_rest=1), "enumerate", None, True),
                  (4, SearchConstraints(max_rdi=2), "count", None, False),
                  (6, SearchConstraints(max_rdi=1), "first", None, True),
-                 (5, SearchConstraints(min_rest=1, max_gpd=2), "enumerate", 3, False)]
+                 (5, SearchConstraints(min_rest=1, max_gpd=2), "enumerate", None, False)]
         for case in cases:
             expected = search(*case[:4], symmetry_breaking=case[4])
             assert search(*case[:4], symmetry_breaking=case[4], jobs=2) == expected, case
@@ -601,7 +613,7 @@ class TestBudgetedSplit:
         proc = subprocess.run([sys.executable, "-X", "dev", "-c", _START_METHOD_RUN, method],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "count 84159\nenumerate 55177\n"
+        assert proc.stdout == "count 84159\nenumerate 84159\n"
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
@@ -653,22 +665,27 @@ class TestCatalogue:
         assert _run_case(case, jobs=2) == case["expect"]
 
 
-# Runs the catalogue count n6-rest1-rdi2 and a 5,000-schedule enumeration of
-# it, both past the split budget, at jobs=2 under the start method argv[1],
-# and prints each run's nodes once it equals the run at jobs=1.
+# Runs the catalogue count n6-rest1-rdi2 and the enumeration of its 8,384
+# schedules at jobs=2 under the start method argv[1], and prints each run's
+# nodes once it equals the run at jobs=1.  Twin reuse keeps the count's
+# placed nodes within the split budget; the enumeration places more, so its
+# budgeted walk leaves tasks for the pool.
 _START_METHOD_RUN = """
 import multiprocessing, os, sys
 from rrsched import SearchConstraints, search
-from rrsched.search import _SPLIT_BUDGET
+from rrsched.search import _SPLIT_BUDGET, _walk
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     os.cpu_count = lambda: 2  # a pool of two workers on any machine
     constraints = SearchConstraints(min_rest=1, max_rdi=2)
-    for mode, limit in (("count", None), ("enumerate", 5000)):
-        solo = search(6, constraints, mode, limit)
+    tasks = []
+    _walk((6, constraints, True, True, None), (), _SPLIT_BUDGET, tasks)
+    assert tasks
+    for mode in ("count", "enumerate"):
+        solo = search(6, constraints, mode)
         assert solo.nodes_explored > _SPLIT_BUDGET
-        assert search(6, constraints, mode, limit, jobs=2) == solo, mode
+        assert search(6, constraints, mode, jobs=2) == solo, mode
         print(mode, solo.nodes_explored)
 """
 
