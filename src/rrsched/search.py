@@ -31,15 +31,20 @@ found no schedule, where the schedules themselves are kept).
 ``nodes_explored`` therefore counts every node of the pruned tree, the
 nodes of reused subtrees included, exactly as a walk without reuse would.
 
-A count run without ``max_rdi`` also keeps, for the length of one walk, a
-table from walk state to the counts of the subtree below it.  The nodes
-below a node depend only on its state, and without ``max_rdi`` that is the
-set of used pairs and the order of the last ``min_rest`` games, so any
+Every run that does not stop at its first schedule (a count, or an
+"enumerate" run whose limit, if any, is above 1) also keeps, for the length
+of one walk, a table from walk state to the counts of the subtree below it.
+The nodes below a node depend only on its state: the set of used pairs and,
+without ``max_rdi``, the order of the last ``min_rest`` games, or, under
+``max_rdi``, the latest position of each team that has games left.  So any
 later node that reaches a state already walked in full (by another order of
-the same games, say) adds those counts instead of walking it again.  It
-does so only where more than three teams are free to play at each
-position; with three or fewer the order is nearly forced and states seldom
-repeat.
+the same games, say) adds those counts instead of walking it again, and an
+"enumerate" run copies the subtree's schedules, each with its own games in
+front, unless its limit falls inside the subtree.  It does so only where
+more than three teams are free to play at each position; with three or
+fewer the order is nearly forced and states seldom repeat.  Under
+``max_rdi`` it does so only without ``min_rest``: with both bounds a lookup
+seldom saves what it costs.
 
 A run with ``jobs > 1`` walks in this process until it has walked a node
 budget (reused nodes do not count); a run that ends sooner starts no
@@ -72,11 +77,17 @@ MODES = ("first", "count", "enumerate")
 # several times longer), so a run that ends sooner never waits for a pool.
 _SPLIT_BUDGET = 30_000
 
-# A count run without max_rdi looks up subtree counts by walk state when at
+# A count or "enumerate" run looks up subtree counts by walk state when at
 # least this many teams are free to play at each position, n - 2 * min_rest.
 # With three, as for odd n at the largest rest, the order of the games is
 # nearly forced and states seldom repeat: 9 of about 79,000 lookups hit in
-# the 13-team max-rest count, and a table made it 1.2-1.3x as long.
+# the 13-team max-rest count, and a table made it 1.2-1.3x as long.  Under
+# max_rdi the table's key holds every team's latest position, and a run that
+# also sets min_rest keeps no table: there a lookup saved 0-1.2 placements,
+# against 0.9-5.4 without min_rest in runs of 20,000 nodes or more.  With a
+# table, 11 of 17 such runs measured took 1.06-1.67x as long (the 9-team
+# min_rest=2, max_rdi=1 enumeration of 1,000 schedules 8.8 -> 14.7 s), and
+# the other 6 took 0.70-0.95x.
 _TABLE_MIN_FREE = 4
 # Entries the table keeps at most: a 10-team count that filled it held
 # 171 MB resident.  Past them the table is still read but no longer grows,
@@ -153,9 +164,12 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     ``twins`` below) has a subtree with the same schedule and node counts,
     so the walk adds the sibling's counts instead of walking it: in count
     mode always, and when ``keep`` is true only if the sibling found none.
-    A count walk without ``max_rdi`` also adds the counts of an earlier node
-    with the same state (see ``table`` below), if that node's subtree left
-    no task.
+    A walk whose ``quota`` is not 1 (and that does not set both ``max_rdi``
+    and ``min_rest``) also adds the counts of an earlier node with the same
+    state (see ``table`` below), if that node's subtree left no task, and
+    when ``keep`` is true copies that subtree's schedules after its own
+    games; it walks the subtree instead where the quota would fall inside
+    it.
 
     Once ``budget`` nodes are walked (reused ones do not count) the walk
     places no more games: it appends each later candidate that passes every
@@ -200,17 +214,31 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     share_tasks = not keep or quota == 1
 
     table = None
-    if not keep and constraints.max_rdi is None and n - 2 * rest >= _TABLE_MIN_FREE:
-        # state -> (found, nodes) below a node walked in full.  Below a node
-        # only its state counts (notes/decisions.md): the set of used pairs
-        # and the last ``rest`` games in order, since without max_rdi a latest
-        # position matters only through ``last > cut``.  One int holds it: bit
-        # ``tail_bits + code`` per used pair above the last games' codes.
+    if (quota != 1 and n - 2 * rest >= _TABLE_MIN_FREE
+            and (constraints.max_rdi is None or not rest)):
+        # state -> (found, nodes) below a node walked in full, and in keep
+        # mode ``start``, where its schedules begin in ``emissions``.
+        # Below a node only its state counts (notes/decisions.md): the used
+        # pairs, and without max_rdi the last ``rest`` games in order, since
+        # a latest position then matters only through ``last > cut``.  One
+        # int holds it: bit ``tail_bits + code`` per used pair above the
+        # last games' codes.  Under max_rdi (and so without min_rest) the
+        # state is the used pairs, bit ``code`` each, and the latest
+        # position of each team with games left, in a field at ``shift[t]``
+        # above them; a team that has met every other team holds 0 there,
+        # since no test reads it again.
         table = {}
         n1 = n + 1
-        width = (n1 * n1).bit_length()
-        tail_bits = width * rest
-        tail_mask = (1 << tail_bits) - 1
+        if constraints.max_rdi is None:
+            shift = None
+            width = (n1 * n1).bit_length()
+            tail_bits = width * rest
+            tail_mask = (1 << tail_bits) - 1
+        else:
+            field = total.bit_length()
+            shift = [n1 * n1 + field * t for t in range(n1)]
+            # done[t]: ``played[t]`` once team t has met every other team
+            done = [(1 << n1) - 2 - (1 << t) for t in range(n1)]
     # The prefix games go last, in reverse, so that each is the last pair at
     # its level: no sibling follows it, and below the prefix the unused pairs
     # are in ascending order again.
@@ -297,25 +325,43 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 if found == quota:
                     return _Walked(emissions, found, nodes)
                 continue
+            played_a = played[a]
+            played_b = played[b]
             if table is not None:
                 code = a * n1 + b
-                tail = state & tail_mask
-                next_state = (state ^ tail | 1 << tail_bits + code
-                              | (tail << width | code) & tail_mask)
+                if shift is None:
+                    tail = state & tail_mask
+                    next_state = (state ^ tail | 1 << tail_bits + code
+                                  | (tail << width | code) & tail_mask)
+                else:
+                    next_state = (
+                        state + (1 << code)
+                        + (((0 if played_a | 1 << b == done[a] else depth) - last_a)
+                           << shift[a])
+                        + (((0 if played_b | 1 << a == done[b] else depth) - last_b)
+                           << shift[b]))
                 below = table.get(next_state)
-                if below is not None:
-                    # Reused nodes do not count against the budget, and in a
-                    # count run a twin image takes the counts found or not.
+                # A subtree that would reach the quota is walked: where the
+                # walk stops inside it is not stored.
+                if below is not None and (quota is None or found + below[0] < quota):
+                    if keep and below[0]:
+                        # Below one state the schedules' games after it, and
+                        # their order, are fixed: copy them after this node's.
+                        head = (*games, pair)
+                        start = below[2]
+                        emissions.extend([head + e[depth:]
+                                          for e in emissions[start:start + below[0]]])
+                    # Reused nodes do not count against the budget.  A twin
+                    # image takes the counts, in keep mode only of a subtree
+                    # that found no schedule.
                     found += below[0]
                     nodes += below[1]
                     spent += below[1]
-                    if key:
+                    if key and not (keep and below[0]):
                         reusable[key] = (below[0], below[1] + 1)
                     continue
             # What this level goes on with, what undoes the game, and the
             # counts (this node's included) and tasks before its subtree.
-            played_a = played[a]
-            played_b = played[b]
             stack.append((candidates, remaining, cut, cap, low, high, reusable, state,
                           key, last_a, last_b, played_a, played_b, count_a, count_b,
                           found, nodes, key and len(tasks)))
@@ -355,7 +401,10 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
             if table is not None and len(table) < _TABLE_LIMIT:
                 # A subtree that left tasks is stored too, but never looked
                 # up: once the budget is spent the walk places no more games.
-                table[walked] = (found - found_before, nodes - nodes_before)
+                # In keep mode ``found`` counts ``emissions``, so the
+                # subtree's schedules start at ``found_before``.
+                table[walked] = ((found - found_before, nodes - nodes_before, found_before)
+                                 if keep else (found - found_before, nodes - nodes_before))
             if key:
                 if nodes != spent:
                     if found == found_before or not keep:
@@ -407,16 +456,17 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     ``limit`` of them in lexicographic order; another mode with a ``limit``
     raises ``ValueError``.  ``nodes_explored`` is the size of the pruned
     tree the run covered, including the subtrees it reused from a
-    twin-swapped sibling, or from an earlier node with the same state,
-    rather than walked.  Results, ``nodes_explored``
-    included, do not depend on ``jobs``.  With ``jobs > 1`` a count,
-    a "first" run or an "enumerate" run without a ``limit`` starts its
-    walk in this process; a run that ends within a fixed budget of walked
-    nodes starts no worker process.  Otherwise the subtrees left unwalked go
-    to a pool of at most ``min(jobs, os.cpu_count())`` worker processes, and
-    their results are merged whole, in walk order.  An "enumerate" run with
-    a ``limit`` walks in this process alone: its merge would have to stop
-    partway through a result, and a pool made those runs slower.
+    twin-swapped sibling, or, in modes "count" and "enumerate" (except
+    under both ``max_rdi`` and ``min_rest``), from an earlier node with the
+    same state, rather than walked.  Results, ``nodes_explored`` included,
+    do not depend on ``jobs``.  With ``jobs > 1`` a count, a "first" run or
+    an "enumerate" run without a ``limit`` starts its walk in this process;
+    a run that ends within a fixed budget of walked nodes starts no worker
+    process.  Otherwise the subtrees left unwalked go to a pool of at most
+    ``min(jobs, os.cpu_count())`` worker processes, and their results are
+    merged whole, in walk order.  An "enumerate" run with a ``limit`` walks
+    in this process alone: its merge would have to stop partway through a
+    result, and a pool made those runs slower.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)

@@ -198,8 +198,9 @@ class TestCountsAndLimits:
 class TestExactCounts:
     # (count, nodes_explored) with symmetry breaking on; any change to the
     # order or the pruning of the walk moves these numbers.  TestCatalogue
-    # pins the catalogue's cases through a stand-in pool; these two counts
-    # also go through a real one at the default budget.
+    # pins the catalogue's cases through a stand-in pool; these counts also
+    # run at jobs=2 with the default budget, where the eight-team one goes
+    # through a real one.
     @pytest.mark.parametrize("n, bounds, count, nodes, jobs", [
         # No catalogue count keeps a table keyed by a two-game tail; this
         # one does (measured before the walk kept a table of subtree counts
@@ -208,7 +209,9 @@ class TestExactCounts:
                      id="n8-rest2-gpd1-jobs1"),
         pytest.param(8, dict(min_rest=2, max_gpd=1), 560128, 5519244, 2,
                      id="n8-rest2-gpd1-jobs2"),
-        # The only catalogue case that walks past the default budget.
+        # The catalogue count that placed the most nodes before the walk kept
+        # a table under max_rdi (53,556); it now places 20,362, under the
+        # default budget.
         pytest.param(6, dict(max_rdi=1), 8128, 319235, 2, id="n6-rdi1-jobs2"),
     ])
     def test_pinned_counts(self, n, bounds, count, nodes, jobs):
@@ -233,22 +236,26 @@ class TestExactCounts:
         assert (outcome.count, outcome.nodes_explored) == (count, nodes)
 
 
-def _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry):
+def _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry, quota=None):
     """(schedules, accepted placements) of a plain depth-first walk that
     tries the unused pairs in ascending order and tests each bound from its
     definition on the prefix: rest since a team's previous game, the spread
     of games played over all teams, and the difference of the two teams'
     rests with a shared game before the schedule at position 0.  Under
-    symmetry breaking the labels seen so far must be 1 to some m."""
+    symmetry breaking the labels seen so far must be 1 to some m.  The
+    schedules are in walk order, and the walk stops at the ``quota``-th."""
     pairs = all_pairs(n)
     total = len(pairs)
     used = [False] * total
     previous = [0] * (n + 1)  # position of each team's previous game, 0 if none
     played = [0] * (n + 1)
-    found = nodes = 0
+    games = []
+    schedules = []
+    nodes = 0
 
     def place(position, seen):
-        nonlocal found, nodes
+        # True once the walk has stopped at its quota.
+        nonlocal nodes
         for i, (a, b) in enumerate(pairs):
             if used[i]:
                 continue
@@ -263,27 +270,34 @@ def _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry):
                 continue
             played[a] += 1
             played[b] += 1
+            stop = False
             if max_gpd is None or max(played[1:]) - min(played[1:]) <= max_gpd:
                 nodes += 1
+                games.append((a, b))
                 if position == total:
-                    found += 1
+                    schedules.append(tuple(games))
+                    stop = len(schedules) == quota
                 else:
                     used[i] = True
                     previous_a, previous_b = previous[a], previous[b]
                     previous[a] = previous[b] = position
-                    place(position + 1, max(b, seen))
+                    stop = place(position + 1, max(b, seen))
                     previous[a], previous[b] = previous_a, previous_b
                     used[i] = False
+                games.pop()
             played[a] -= 1
             played[b] -= 1
+            if stop:
+                return True
+        return False
 
     place(1, 0)
-    return found, nodes
+    return schedules, nodes
 
 
 def _plain_grid():
     # Every five-team bound triple from min_rest in {1, 2}, max_gpd 1 and
-    # max_rdi in {1, 2} with at least one bound set, and one six-team count
+    # max_rdi in {1, 2} with at least one bound set, and one six-team run
     # whose table holds a tail of one game without being forced on.
     for triple in itertools.product((None, 1, 2), (None, 1), (None, 1, 2)):
         if triple != (None, None, None):
@@ -293,24 +307,37 @@ def _plain_grid():
     yield pytest.param(6, 1, 1, None, True, id="n6-(1, 1, None)-sym")
 
 
+def _games(outcome):
+    return [s.games for s in outcome.schedules]
+
+
+def _table_settings(monkeypatch, n, min_rest):
+    """Set each table setting in turn: a table only where it is kept, in
+    every run that may keep one (where that differs), and one full at 20
+    entries."""
+    min_free, limit = search_module._TABLE_MIN_FREE, search_module._TABLE_LIMIT
+    settings = [(min_free, limit), (0, 20)]
+    if n - 2 * (min_rest or 0) < min_free:
+        settings.append((0, limit))
+    for min_free, limit in settings:
+        monkeypatch.setattr(search_module, "_TABLE_MIN_FREE", min_free)
+        monkeypatch.setattr(search_module, "_TABLE_LIMIT", limit)
+        yield
+
+
 class TestPlainWalkCounts:
-    """Counts and node counts of ``search`` against ``_plain_walk``, which
-    neither reuses twin subtrees nor keeps a table of states."""
+    """Counts, schedules and node counts of ``search`` against
+    ``_plain_walk``, which neither reuses twin subtrees nor keeps a table of
+    states."""
 
     @pytest.mark.parametrize("n, min_rest, max_gpd, max_rdi, symmetry", _plain_grid())
     def test_count_matches_a_plain_walk(self, split, monkeypatch, n, min_rest, max_gpd,
                                         max_rdi, symmetry):
-        expected = _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry)
+        schedules, nodes = _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry)
+        expected = (len(schedules), nodes)
         constraints = SearchConstraints(min_rest, max_gpd, max_rdi)
         set_budget, started = split
-        # A table in every run that may keep one, also one full at 20
-        # entries, and a table only where it is kept.
-        settings = [(search_module._TABLE_MIN_FREE, search_module._TABLE_LIMIT)]
-        if max_rdi is None:
-            settings += [(0, search_module._TABLE_LIMIT), (0, 20)]
-        for min_free, limit in settings:
-            monkeypatch.setattr(search_module, "_TABLE_MIN_FREE", min_free)
-            monkeypatch.setattr(search_module, "_TABLE_LIMIT", limit)
+        for _ in _table_settings(monkeypatch, n, min_rest):
             solo = search(n, constraints, "count", symmetry_breaking=symmetry)
             assert (solo.count, solo.nodes_explored) == expected
             for budget in (1, 40):
@@ -318,6 +345,35 @@ class TestPlainWalkCounts:
                 outcome = search(n, constraints, "count", symmetry_breaking=symmetry, jobs=2)
                 assert (outcome.count, outcome.nodes_explored) == expected, budget
         assert started  # the budgets did reach the stand-in pool
+
+    @pytest.mark.parametrize("n, min_rest, max_gpd, max_rdi, symmetry", _plain_grid())
+    def test_enumerate_matches_a_plain_walk(self, split, monkeypatch, n, min_rest, max_gpd,
+                                            max_rdi, symmetry):
+        expected = _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry)
+        limited = _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry, 3)
+        constraints = SearchConstraints(min_rest, max_gpd, max_rdi)
+        set_budget, started = split
+        for _ in _table_settings(monkeypatch, n, min_rest):
+            solo = search(n, constraints, "enumerate", symmetry_breaking=symmetry)
+            assert (_games(solo), solo.nodes_explored) == expected
+            for budget in (1, 40):
+                set_budget(budget)
+                outcome = search(n, constraints, "enumerate", symmetry_breaking=symmetry,
+                                 jobs=2)
+                assert (_games(outcome), outcome.nodes_explored) == expected, budget
+            # A run with a limit walks in this process at any jobs.
+            outcome = search(n, constraints, "enumerate", 3, symmetry_breaking=symmetry)
+            assert (_games(outcome), outcome.nodes_explored) == limited
+        assert started
+
+    # After its 12th schedule this walk meets, at position 8, a state it has
+    # stored with two schedules below it.  The limit ends inside that
+    # subtree, so the walk walks it to its first schedule and stops there,
+    # rather than copying both with the subtree's whole node count.
+    def test_limit_inside_a_stored_subtree_is_walked(self):
+        expected = _plain_walk(5, None, None, 1, True, 13)
+        outcome = search(5, SearchConstraints(max_rdi=1), "enumerate", 13)
+        assert (_games(outcome), outcome.nodes_explored) == expected
 
 
 class TestWalkLifetime:
@@ -668,23 +724,26 @@ class TestCatalogue:
 # Runs the catalogue count n6-rest1-rdi2 and the enumeration of its 8,384
 # schedules at jobs=2 under the start method argv[1], and prints each run's
 # nodes once it equals the run at jobs=1.  Twin reuse keeps the count's
-# placed nodes within the split budget; the enumeration places more, so its
-# budgeted walk leaves tasks for the pool.
+# placed nodes under the default split budget, so this process walks with a
+# budget of 2,000 nodes, and each budgeted walk must leave tasks for the
+# pool.  The workers import the package afresh and walk their tasks without
+# a budget.
 _START_METHOD_RUN = """
 import multiprocessing, os, sys
 from rrsched import SearchConstraints, search
-from rrsched.search import _SPLIT_BUDGET, _walk
+from rrsched.search import _walk
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     os.cpu_count = lambda: 2  # a pool of two workers on any machine
+    module = sys.modules["rrsched.search"]
+    module._SPLIT_BUDGET = 2000
     constraints = SearchConstraints(min_rest=1, max_rdi=2)
-    tasks = []
-    _walk((6, constraints, True, True, None), (), _SPLIT_BUDGET, tasks)
-    assert tasks
     for mode in ("count", "enumerate"):
+        tasks = []
+        _walk((6, constraints, True, mode == "enumerate", None), (), 2000, tasks)
+        assert any(isinstance(task, tuple) for task in tasks), mode
         solo = search(6, constraints, mode)
-        assert solo.nodes_explored > _SPLIT_BUDGET
         assert search(6, constraints, mode, jobs=2) == solo, mode
         print(mode, solo.nodes_explored)
 """
