@@ -26,8 +26,10 @@ Two teams that have just met each other, had met the same opponents before
 and have not played since are twins: swapping them changes no bound's test
 below that node.  So a candidate pair that an earlier sibling maps to by
 twin swaps has a subtree with that sibling's schedule and node counts, and
-the walk adds those counts instead of walking it (only when the sibling
-found no schedule, where the schedules themselves are kept).
+the walk adds those counts instead of walking it.  Where the schedules
+themselves are kept, it reuses a sibling that found schedules only in a
+walk without a state table (below): it relabels the sibling's schedules by
+the twin swaps and sorts them, which gives the image's own walk order.
 ``nodes_explored`` therefore counts every node of the pruned tree, the
 nodes of reused subtrees included, exactly as a walk without reuse would.
 
@@ -139,9 +141,10 @@ class SearchOutcome(_Record):
 
 
 class _Walked(NamedTuple):
-    """What one walk found: the schedules it emitted (none in count mode and
-    for the reused counts of a twin sibling), and the ``found`` schedules
-    and ``nodes`` nodes it counted.  Pool results are merged whole."""
+    """What one walk found: the schedules it emitted (none in count mode, and
+    none where a budgeted walk lists a twin sibling's counts among its
+    tasks), and the ``found`` schedules and ``nodes`` nodes it counted.
+    Pool results are merged whole."""
 
     emissions: Sequence[tuple[tuple[int, int], ...]]
     found: int
@@ -163,7 +166,9 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     A candidate that an earlier sibling maps to by swapping twins (see
     ``twins`` below) has a subtree with the same schedule and node counts,
     so the walk adds the sibling's counts instead of walking it: in count
-    mode always, and when ``keep`` is true only if the sibling found none.
+    mode always; when ``keep`` is true, if the sibling found no schedule,
+    and in a walk without a table also if it did, by relabeling its
+    schedules, unless the quota would fall inside the image.
     A walk whose ``quota`` is not 1 (and that does not set both ``max_rdi``
     and ``min_rest``) also adds the counts of an earlier node with the same
     state (see ``table`` below), if that node's subtree left no task, and
@@ -254,7 +259,10 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     cap = 1 if symmetry else n + 1
     low = high = 0  # the fewest and most games played by any team so far
     # orbit key -> (found, nodes, *tasks) of an earlier twin sibling: the
-    # counts it walked here and the tasks it left; made at the first key
+    # counts it walked here and the tasks it left; or, for a sibling that
+    # found schedules in a keep-mode walk without a table, (found, nodes,
+    # start, pair), its schedules being emissions[start:start + found];
+    # made at the first key
     reusable = None
     state = next_state = 0  # the table's keys here and after the candidate
     # The prefix game is the last unused pair at its level.
@@ -302,15 +310,52 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                         reusable = {}
                     twin = reusable.get(key)
                     if twin is not None:
-                        if nodes != spent:
+                        # Counts, and tasks to list where the budget is
+                        # spent; a 4-tuple is made only where no tasks are
+                        # shared.
+                        if share_tasks or len(twin) == 2:
+                            if nodes != spent:
+                                found += twin[0]
+                                nodes += twin[1]
+                                spent += twin[1]
+                            else:
+                                if twin[1]:
+                                    tasks.append(_Walked((), twin[0], twin[1]))
+                                tasks.extend(twin[2:])
+                            continue
+                        # The sibling found schedules.  Where the quota falls
+                        # inside this image, or the budget is spent, the image
+                        # is walked (or made a task) instead.
+                        if nodes != spent and (quota is None or found + twin[0] < quota):
+                            # sigma swaps each team of this pair that is not in
+                            # the sibling's with its mate, so it maps the
+                            # sibling's subtree onto this one.  The walk emits
+                            # the schedules below a node in ascending order of
+                            # their games, so sorting the relabeled suffixes
+                            # gives this subtree's own order.
+                            start, sibling = twin[2:]
+                            sigma = list(range(n + 1))
+                            if a not in sibling:
+                                sigma[a] = mate_a
+                                sigma[mate_a] = a
+                            if b not in sibling:
+                                sigma[b] = mate_b
+                                sigma[mate_b] = b
+                            images = []
+                            for e in emissions[start:start + twin[0]]:
+                                image = []
+                                for x, y in e[depth:]:
+                                    x = sigma[x]
+                                    y = sigma[y]
+                                    image.append((x, y) if x < y else (y, x))
+                                images.append(tuple(image))
+                            images.sort()
+                            head = (*games, pair)
+                            emissions.extend([head + image for image in images])
                             found += twin[0]
                             nodes += twin[1]
                             spent += twin[1]
-                        else:
-                            if twin[1]:
-                                tasks.append(_Walked((), twin[0], twin[1]))
-                            tasks.extend(twin[2:])
-                        continue
+                            continue
             if nodes == spent:
                 task = (*games, pair)
                 tasks.append(task)
@@ -409,6 +454,11 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 if nodes != spent:
                     if found == found_before or not keep:
                         reusable[key] = (found - found_before, nodes - nodes_before + 1)
+                    elif table is None:
+                        # The subtree's schedules start at ``found_before`` in
+                        # ``emissions``; an image relabels them.
+                        reusable[key] = (found - found_before, nodes - nodes_before + 1,
+                                         found_before, games[-1])
                 elif share_tasks:
                     reusable[key] = (found - found_before, nodes - nodes_before + 1,
                                      *tasks[tasks_before:])
@@ -496,7 +546,7 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
         return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
     # Walked sequences are complete and valid by construction, so they skip
     # make_schedule.
-    schedules = tuple(Schedule(team_count=n, multiplicity=1, games=g) for g in collected)
+    schedules = tuple(map(Schedule, repeat(n), repeat(1), collected))
     if mode == "first":
         return SearchOutcome(mode=mode, nodes_explored=nodes,
                              found=schedules[0] if schedules else None)

@@ -235,6 +235,16 @@ class TestExactCounts:
                          jobs=jobs, allow_large=True)
         assert (outcome.count, outcome.nodes_explored) == (count, nodes)
 
+    # The odd max-rest enumeration keeps no table (three teams free at each
+    # position) and reuses most subtrees by relabeling a twin sibling's
+    # schedules: it must list what the count counts, in walk order.
+    def test_max_rest_enumeration_equals_the_count(self):
+        outcome = search(11, SearchConstraints(min_rest=4), "enumerate", allow_large=True)
+        games = [s.games for s in outcome.schedules]
+        assert (len(games), outcome.nodes_explored) == (64, 297731)
+        assert all(x < y for x, y in zip(games, games[1:]))
+        assert {evaluate(s).guaranteed_rest_time for s in outcome.schedules} == {4}
+
 
 def _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry, quota=None):
     """(schedules, accepted placements) of a plain depth-first walk that
@@ -313,12 +323,15 @@ def _games(outcome):
 
 def _table_settings(monkeypatch, n, min_rest):
     """Set each table setting in turn: a table only where it is kept, in
-    every run that may keep one (where that differs), and one full at 20
-    entries."""
+    every run that may keep one or in none (where either differs), and one
+    full at 20 entries.  An "enumerate" walk without a table relabels the
+    schedules of a twin sibling that found some."""
     min_free, limit = search_module._TABLE_MIN_FREE, search_module._TABLE_LIMIT
     settings = [(min_free, limit), (0, 20)]
     if n - 2 * (min_rest or 0) < min_free:
         settings.append((0, limit))
+    else:
+        settings.append((n + 1, limit))
     for min_free, limit in settings:
         monkeypatch.setattr(search_module, "_TABLE_MIN_FREE", min_free)
         monkeypatch.setattr(search_module, "_TABLE_LIMIT", limit)
@@ -373,6 +386,17 @@ class TestPlainWalkCounts:
     def test_limit_inside_a_stored_subtree_is_walked(self):
         expected = _plain_walk(5, None, None, 1, True, 13)
         outcome = search(5, SearchConstraints(max_rdi=1), "enumerate", 13)
+        assert (_games(outcome), outcome.nodes_explored) == expected
+
+    # This walk keeps no table.  After its second schedule it meets, at
+    # position 4, the twin image of a sibling that found two.  A limit of 3
+    # ends inside the image and a limit of 4 at its last schedule, so the
+    # walk walks the image and stops in it, rather than relabeling both
+    # schedules with the image's whole node count.
+    @pytest.mark.parametrize("limit", [3, 4])
+    def test_limit_inside_a_twin_image_is_walked(self, limit):
+        expected = _plain_walk(5, 1, None, None, True, limit)
+        outcome = search(5, SearchConstraints(min_rest=1), "enumerate", limit)
         assert (_games(outcome), outcome.nodes_explored) == expected
 
 
