@@ -80,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="enumerate raw labelings instead of canonical ones")
     se.add_argument("--jobs", type=int, default=1,
                     help="worker processes, at most the CPU count; output is identical "
-                         "for any value; an enumerate run with --limit walks in one "
-                         "process, since a pool made it slower")
+                         "for any value; only a first run, or a count that keeps no "
+                         "table of states, uses them, since a pool made other runs slower")
     se.add_argument("--allow-large", action="store_true",
                     help="permit team counts and unconstrained runs the tool would refuse")
 

@@ -48,14 +48,14 @@ fewer the order is nearly forced and states seldom repeat.  Under
 ``max_rdi`` it does so only without ``min_rest``: with both bounds a lookup
 seldom saves what it costs.
 
-A run with ``jobs > 1`` walks in this process until it has walked a node
-budget (reused nodes do not count); a run that ends sooner starts no
-process.  Past the budget the walk records each subtree it would have
-entered next as a task, a prefix of games, in walk order.  A process pool
-walks the tasks, and their results are merged whole in walk order, so the
-outcome and ``nodes_explored`` equal those of one walk.  An "enumerate"
-run with a ``limit`` would need the merge to stop partway through a
-result, and a pool made it slower, so it makes one walk in this process.
+With ``jobs > 1`` a "first" run, or a count without a table, walks in this
+process until it has walked a node budget (reused nodes do not count); a
+run that ends sooner starts no process.  Past the budget the walk records
+each subtree it would have entered next as a task, a prefix of games, in
+walk order.  A process pool walks the tasks, and their results are merged
+whole in walk order, so the outcome and ``nodes_explored`` equal those of
+one walk.  A pool shares neither a walk's table nor its emitted schedules
+and made the runs that keep either slower, so they walk in this process.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ from typing import NamedTuple, Sequence
 from .model import Schedule, _check_count, _Record, _set_field, expected_length
 
 DEFAULT_TEAM_CEILING = 8
-# Unconstrained runs visit every ordering of the n(n-1)/2 games: 15! already
-# at six teams.  Refuse those without an explicit override.
+# Unconstrained runs range over every ordering of the n(n-1)/2 games, 15!
+# already at six teams: too many to enumerate, and the count takes seconds
+# from seven teams.  Refuse those runs without an explicit override.
 _UNCONSTRAINED_REFUSAL = 6
 
 MODES = ("first", "count", "enumerate")
@@ -144,7 +145,7 @@ class _Walked(NamedTuple):
     """What one walk found: the schedules it emitted (none in count mode, and
     none where a budgeted walk lists a twin sibling's counts among its
     tasks), and the ``found`` schedules and ``nodes`` nodes it counted.
-    Pool results are merged whole."""
+    Pool results, of counts and "first" runs, are merged whole."""
 
     emissions: Sequence[tuple[tuple[int, int], ...]]
     found: int
@@ -154,7 +155,7 @@ class _Walked(NamedTuple):
 def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
           tasks: list | None = None) -> _Walked:
     """Depth-first walk below the forced ``prefix``, in this process or in a
-    worker; ``walk`` is ``(n, constraints, symmetry, keep, quota)``.
+    worker; ``walk`` is ``(n, constraints, symmetry, keep, quota, tabled)``.
 
     Each level of the walk places one game, trying the unused pairs in
     ascending order.  The first ``len(prefix)`` levels try only the game of
@@ -169,23 +170,21 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     mode always; when ``keep`` is true, if the sibling found no schedule,
     and in a walk without a table also if it did, by relabeling its
     schedules, unless the quota would fall inside the image.
-    A walk whose ``quota`` is not 1 (and that does not set both ``max_rdi``
-    and ``min_rest``) also adds the counts of an earlier node with the same
-    state (see ``table`` below), if that node's subtree left no task, and
-    when ``keep`` is true copies that subtree's schedules after its own
-    games; it walks the subtree instead where the quota would fall inside
-    it.
+    A walk that is ``tabled`` also adds the counts of an earlier node with
+    the same state (see ``table`` below), and when ``keep`` is true copies
+    that subtree's schedules after its own games; it walks the subtree
+    instead where the quota would fall inside it.
 
     Once ``budget`` nodes are walked (reused ones do not count) the walk
     places no more games: it appends each later candidate that passes every
     test to ``tasks``, in walk order, as the tuple of games that ends with
     it, or, for a twin image of a sibling walked in full, as a ``_Walked``
-    of that sibling's counts.  The counts of a sibling whose subtree left
-    tasks are never reused alone: its image lists the sibling's walked
-    counts and the same task objects again, and only where ``share_tasks``
-    says that is sure to be right; elsewhere the image is a task of its own.
+    of that sibling's counts.  Only a count or a "first" run without a
+    table has a budget, so a sibling whose subtree left tasks found no
+    schedule it keeps, and its image lists the sibling's walked counts and
+    the same task objects again.
     """
-    n, constraints, symmetry, keep, quota = walk
+    n, constraints, symmetry, keep, quota, tabled = walk
     if tasks is None:
         tasks = []
     total = expected_length(n)
@@ -210,17 +209,11 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     forced = len(prefix)
     nodes = 1 - forced if forced else 0
     # The count never falls below 1 - forced, so without a budget no count
-    # equals ``spent``; a reused subtree raises both by its node count.
+    # equals ``spent``; a reused twin's subtree raises both by its node count.
     spent = -1 - forced if budget is None else budget
-    # A twin image of a sibling that left tasks lists those tasks again when
-    # that is sure to give the sibling's counts: in count mode, and when the
-    # merge stops at the first schedule, so that it reaches the image only
-    # if the sibling found none.
-    share_tasks = not keep or quota == 1
 
     table = None
-    if (quota != 1 and n - 2 * rest >= _TABLE_MIN_FREE
-            and (constraints.max_rdi is None or not rest)):
+    if tabled:
         # state -> (found, nodes) below a node walked in full, and in keep
         # mode ``start``, where its schedules begin in ``emissions``.
         # Below a node only its state counts (notes/decisions.md): the used
@@ -311,9 +304,9 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                     twin = reusable.get(key)
                     if twin is not None:
                         # Counts, and tasks to list where the budget is
-                        # spent; a 4-tuple is made only where no tasks are
-                        # shared.
-                        if share_tasks or len(twin) == 2:
+                        # spent.  In keep mode a sibling that found
+                        # schedules left a 4-tuple and no task.
+                        if not keep or not twin[0]:
                             if nodes != spent:
                                 found += twin[0]
                                 nodes += twin[1]
@@ -324,9 +317,8 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                                 tasks.extend(twin[2:])
                             continue
                         # The sibling found schedules.  Where the quota falls
-                        # inside this image, or the budget is spent, the image
-                        # is walked (or made a task) instead.
-                        if nodes != spent and (quota is None or found + twin[0] < quota):
+                        # inside this image, the image is walked instead.
+                        if quota is None or found + twin[0] < quota:
                             # sigma swaps each team of this pair that is not in
                             # the sibling's with its mate, so it maps the
                             # sibling's subtree onto this one.  The walk emits
@@ -354,12 +346,11 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                             emissions.extend([head + image for image in images])
                             found += twin[0]
                             nodes += twin[1]
-                            spent += twin[1]
                             continue
             if nodes == spent:
                 task = (*games, pair)
                 tasks.append(task)
-                if key and share_tasks:
+                if key:
                     reusable[key] = (0, 0, task)
                 continue
             nodes += 1
@@ -396,12 +387,10 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                         start = below[2]
                         emissions.extend([head + e[depth:]
                                           for e in emissions[start:start + below[0]]])
-                    # Reused nodes do not count against the budget.  A twin
-                    # image takes the counts, in keep mode only of a subtree
-                    # that found no schedule.
+                    # A twin image takes the counts, in keep mode only of a
+                    # subtree that found no schedule.
                     found += below[0]
                     nodes += below[1]
-                    spent += below[1]
                     if key and not (keep and below[0]):
                         reusable[key] = (below[0], below[1] + 1)
                     continue
@@ -444,8 +433,6 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
              found_before, nodes_before, tasks_before) = stack.pop()
             depth -= 1
             if table is not None and len(table) < _TABLE_LIMIT:
-                # A subtree that left tasks is stored too, but never looked
-                # up: once the budget is spent the walk places no more games.
                 # In keep mode ``found`` counts ``emissions``, so the
                 # subtree's schedules start at ``found_before``.
                 table[walked] = ((found - found_before, nodes - nodes_before, found_before)
@@ -459,7 +446,7 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                         # ``emissions``; an image relabels them.
                         reusable[key] = (found - found_before, nodes - nodes_before + 1,
                                          found_before, games[-1])
-                elif share_tasks:
+                else:
                     reusable[key] = (found - found_before, nodes - nodes_before + 1,
                                      *tasks[tasks_before:])
             a, b = games.pop()
@@ -487,8 +474,9 @@ def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
         )
     if constraints.unconstrained and n >= _UNCONSTRAINED_REFUSAL and not allow_large:
         raise ValueError(
-            f"unconstrained search at {n} teams would visit up to "
-            f"{expected_length(n)}! orderings; pass allow_large to force it"
+            f"unconstrained search at {n} teams ranges over all {expected_length(n)}! "
+            f"orderings of its games: too many to enumerate, and a count takes "
+            f"seconds from 7 teams; pass allow_large to force it"
         )
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -509,14 +497,14 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     twin-swapped sibling, or, in modes "count" and "enumerate" (except
     under both ``max_rdi`` and ``min_rest``), from an earlier node with the
     same state, rather than walked.  Results, ``nodes_explored`` included,
-    do not depend on ``jobs``.  With ``jobs > 1`` a count, a "first" run or
-    an "enumerate" run without a ``limit`` starts its walk in this process;
-    a run that ends within a fixed budget of walked nodes starts no worker
+    do not depend on ``jobs``.  With ``jobs > 1`` a "first" run, or a count
+    that keeps no table of states, starts its walk in this process; a run
+    that ends within a fixed budget of walked nodes starts no worker
     process.  Otherwise the subtrees left unwalked go to a pool of at most
     ``min(jobs, os.cpu_count())`` worker processes, and their results are
-    merged whole, in walk order.  An "enumerate" run with a ``limit`` walks
-    in this process alone: its merge would have to stop partway through a
-    result, and a pool made those runs slower.
+    merged whole, in walk order.  Every other run walks in this process
+    alone: a pool shares neither the table nor the schedules a walk has
+    emitted, and it made those runs slower.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
@@ -524,7 +512,12 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     # the whole tree.
     keep = mode != "count"
     quota = 1 if mode == "first" else limit if keep else None
-    walk = (n, constraints, symmetry_breaking, keep, quota)
+    # A run past its first schedule keeps a table where it pays (see
+    # ``_TABLE_MIN_FREE``).
+    rest = constraints.min_rest or 0
+    tabled = (quota != 1 and n - 2 * rest >= _TABLE_MIN_FREE
+              and (constraints.max_rdi is None or not rest))
+    walk = (n, constraints, symmetry_breaking, keep, quota, tabled)
     collected: list[tuple[tuple[int, int], ...]] = []
     count = nodes = 0
 
@@ -537,7 +530,10 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
         nodes += walked.nodes
         return count == quota
 
-    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 and limit is None else 1
+    # Only a "first" run or a count without a table walks with a budget, so
+    # a budgeted walk keeps no table and emits at most one schedule.
+    pooled = jobs > 1 and mode != "enumerate" and not tabled
+    workers = min(jobs, os.cpu_count() or 1) if pooled else 1
     entries: list = []
     if not merge(_walk(walk, (), _SPLIT_BUDGET if workers > 1 else None, entries)) and entries:
         _search_parallel(walk, workers, entries, merge)
@@ -556,13 +552,13 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 def _search_parallel(walk, workers: int, entries: list, merge) -> None:
     """Walk in a pool the tasks the budgeted walk left, and merge in walk order.
 
-    The run has no limit, so each result is merged whole.  ``entries`` holds
-    the tasks, and the reused results of twin siblings that follow them, in
-    walk order.  A count or "first" run may list a task more than once (as
-    its twin images): the pool walks it once and the merge uses its result
-    at each place.  The pool's ``map`` feeds its workers only about one task
-    each ahead of the merge, and shutting it down cancels the tasks it has
-    not fed, so a "first" run that stops leaves little work behind.
+    The run is a count or a "first" run, so each result is merged whole.
+    ``entries`` holds the tasks, and the reused results of twin siblings
+    that follow them, in walk order.  A task may be listed more than once
+    (as its twin images): the pool walks it once and the merge uses its
+    result at each place.  The pool's ``map`` feeds its workers only about
+    one task each ahead of the merge, and shutting it down cancels the tasks
+    it has not fed, so a "first" run that stops leaves little work behind.
     """
     tasks = list(dict.fromkeys(entry for entry in entries
                                if not isinstance(entry, _Walked)))

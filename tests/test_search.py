@@ -360,24 +360,16 @@ class TestPlainWalkCounts:
         assert started  # the budgets did reach the stand-in pool
 
     @pytest.mark.parametrize("n, min_rest, max_gpd, max_rdi, symmetry", _plain_grid())
-    def test_enumerate_matches_a_plain_walk(self, split, monkeypatch, n, min_rest, max_gpd,
-                                            max_rdi, symmetry):
+    def test_enumerate_matches_a_plain_walk(self, monkeypatch, n, min_rest, max_gpd, max_rdi,
+                                            symmetry):
         expected = _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry)
         limited = _plain_walk(n, min_rest, max_gpd, max_rdi, symmetry, 3)
         constraints = SearchConstraints(min_rest, max_gpd, max_rdi)
-        set_budget, started = split
         for _ in _table_settings(monkeypatch, n, min_rest):
             solo = search(n, constraints, "enumerate", symmetry_breaking=symmetry)
             assert (_games(solo), solo.nodes_explored) == expected
-            for budget in (1, 40):
-                set_budget(budget)
-                outcome = search(n, constraints, "enumerate", symmetry_breaking=symmetry,
-                                 jobs=2)
-                assert (_games(outcome), outcome.nodes_explored) == expected, budget
-            # A run with a limit walks in this process at any jobs.
             outcome = search(n, constraints, "enumerate", 3, symmetry_breaking=symmetry)
             assert (_games(outcome), outcome.nodes_explored) == limited
-        assert started
 
     # After its 12th schedule this walk meets, at position 8, a state it has
     # stored with two schedules below it.  The limit ends inside that
@@ -451,16 +443,16 @@ class TestParallelDeterminism:
         assert par.nodes_explored == seq.nodes_explored
 
     def test_single_branch_runs_without_a_process_pool(self, monkeypatch):
-        # 92 nodes: the run ends within the split budget, so it never
-        # reaches the point where it would start a pool.
+        # 92 nodes: the count keeps no table, but ends within the split
+        # budget, so it never reaches the point where it would start a pool.
         import concurrent.futures
 
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        seq = search(5, SearchConstraints(min_rest=1), mode="enumerate")
-        par = search(5, SearchConstraints(min_rest=1), mode="enumerate", jobs=2)
+        seq = search(5, SearchConstraints(min_rest=1), mode="count")
+        par = search(5, SearchConstraints(min_rest=1), mode="count", jobs=2)
         assert par == seq
 
     def test_count_identical_across_jobs_without_symmetry(self):
@@ -573,15 +565,15 @@ class TestBudgetedSplit:
         assert started  # the grid did reach the pool
         assert all(pool.cancel_futures is True for pool in started)
 
-    # 593,867 nodes, of which about 20,000 are placed: the rest are reused
-    # from the table of states or from twins, and do not count against the
-    # budget, so the default one leaves no task.
+    # 84,159 nodes, of which about 14,000 are placed: the rest are reused
+    # from twins, and do not count against the budget, so the default one
+    # leaves no task.  The count keeps no table, so it may start a pool.
     @pytest.mark.parametrize("budget, pools", [(search_module._SPLIT_BUDGET, 0), (5000, 1)])
     def test_reused_nodes_leave_the_budget_alone(self, split, budget, pools):
         set_budget, started = split
         set_budget(budget)
-        outcome = search(6, SearchConstraints(min_rest=1), mode="count", jobs=2)
-        assert (outcome.count, outcome.nodes_explored) == (74656, 593867)
+        outcome = search(6, SearchConstraints(min_rest=1, max_rdi=2), mode="count", jobs=2)
+        assert (outcome.count, outcome.nodes_explored) == (8384, 84159)
         assert len(started) == pools
 
     def test_worker_count_is_capped_at_the_cpu_count(self, split, monkeypatch):
@@ -601,20 +593,34 @@ class TestBudgetedSplit:
         search(5, SearchConstraints(min_rest=1), mode="count", jobs=8)
         assert started == []
 
-    def test_limited_enumerate_walks_in_this_process(self, split):
-        # Its merge would have to stop partway through a pool result, so a
-        # run with a limit makes one walk here, which stops at the limit.
+    # A pool shares neither a walk's table of states nor the schedules it
+    # has emitted, so an "enumerate" run, with or without a limit and with
+    # or without a table, and a count that keeps a table make one walk here.
+    # A count without a table and a "first" run hand out tasks.
+    @pytest.mark.parametrize("n, constraints, mode, limit, pools", [
+        pytest.param(6, SearchConstraints(min_rest=1), "enumerate", 5, 0,
+                     id="enumerate-limit"),
+        pytest.param(5, SearchConstraints(min_rest=1), "enumerate", None, 0, id="enumerate"),
+        pytest.param(5, SearchConstraints(max_rdi=1), "enumerate", None, 0,
+                     id="enumerate-table"),
+        pytest.param(6, SearchConstraints(min_rest=1), "count", None, 0, id="count-table"),
+        pytest.param(5, SearchConstraints(min_rest=1), "count", None, 1, id="count"),
+        pytest.param(6, SearchConstraints(min_rest=1), "first", None, 1, id="first"),
+    ])
+    def test_only_first_runs_and_counts_without_a_table_start_a_pool(
+            self, split, n, constraints, mode, limit, pools):
         set_budget, started = split
         set_budget(1)
-        constraints = SearchConstraints(min_rest=1)
-        outcome = search(6, constraints, "enumerate", limit=5, jobs=2)
-        assert outcome == search(6, constraints, "enumerate", limit=5)
-        assert started == []
+        outcome = search(n, constraints, mode, limit, jobs=2)
+        assert outcome == search(n, constraints, mode, limit)
+        assert len(started) == pools
 
-    def test_first_mode_stops_handing_out_tasks(self, split):
+    def test_first_mode_stops_handing_out_tasks(self, split, monkeypatch):
         set_budget, started = split
         set_budget(1)
         constraints = SearchConstraints(max_rdi=1)
+        # Without its table the count hands out every task of the tree.
+        monkeypatch.setattr(search_module, "_TABLE_MIN_FREE", 7)
         search(6, constraints, mode="count", jobs=2)
         everything = len(started[0].results)
         found = search(6, constraints, mode="first", jobs=2)
@@ -673,12 +679,12 @@ class TestBudgetedSplit:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        # The enumerate runs merge emitted schedules: 8 in 92 nodes, and
-        # 240 in 2,740 nodes.
-        cases = [(5, SearchConstraints(min_rest=1), "enumerate", None, True),
-                 (4, SearchConstraints(max_rdi=2), "count", None, False),
+        # The first runs merge a schedule that a worker found; the counts
+        # keep no table.
+        cases = [(5, SearchConstraints(min_rest=1), "first", None, False),
+                 (5, SearchConstraints(min_rest=1, max_gpd=2), "count", None, False),
                  (6, SearchConstraints(max_rdi=1), "first", None, True),
-                 (5, SearchConstraints(min_rest=1, max_gpd=2), "enumerate", None, False)]
+                 (6, SearchConstraints(min_rest=1, max_rdi=2), "count", None, True)]
         for case in cases:
             expected = search(*case[:4], symmetry_breaking=case[4])
             assert search(*case[:4], symmetry_breaking=case[4], jobs=2) == expected, case
@@ -693,7 +699,7 @@ class TestBudgetedSplit:
         proc = subprocess.run([sys.executable, "-X", "dev", "-c", _START_METHOD_RUN, method],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "count 84159\nenumerate 84159\n"
+        assert proc.stdout == "count 84159\nfirst 217\n"
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
@@ -745,28 +751,30 @@ class TestCatalogue:
         assert _run_case(case, jobs=2) == case["expect"]
 
 
-# Runs the catalogue count n6-rest1-rdi2 and the enumeration of its 8,384
-# schedules at jobs=2 under the start method argv[1], and prints each run's
-# nodes once it equals the run at jobs=1.  Twin reuse keeps the count's
-# placed nodes under the default split budget, so this process walks with a
-# budget of 2,000 nodes, and each budgeted walk must leave tasks for the
-# pool.  The workers import the package afresh and walk their tasks without
-# a budget.
+# Runs the catalogue count n6-rest1-rdi2 and its first run at jobs=2 under
+# the start method argv[1], and prints each run's nodes once it equals the
+# run at jobs=1.  Twin reuse keeps the count's placed nodes under the
+# default split budget, and the first run finds its schedule at node 217,
+# so this process walks with a budget of 50 nodes: each budgeted walk must
+# leave tasks for the pool, and the first run's schedule must come from a
+# worker.  The workers import the package afresh and walk their tasks
+# without a budget.  Neither run keeps a table.
 _START_METHOD_RUN = """
 import multiprocessing, os, sys
 from rrsched import SearchConstraints, search
-from rrsched.search import _walk
+from rrsched.search import _walk, _Walked
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     os.cpu_count = lambda: 2  # a pool of two workers on any machine
     module = sys.modules["rrsched.search"]
-    module._SPLIT_BUDGET = 2000
+    module._SPLIT_BUDGET = 50
     constraints = SearchConstraints(min_rest=1, max_rdi=2)
-    for mode in ("count", "enumerate"):
+    for mode, quota in (("count", None), ("first", 1)):
         tasks = []
-        _walk((6, constraints, True, mode == "enumerate", None), (), 2000, tasks)
-        assert any(isinstance(task, tuple) for task in tasks), mode
+        walked = _walk((6, constraints, True, mode == "first", quota, False), (), 50, tasks)
+        assert any(not isinstance(task, _Walked) for task in tasks), mode
+        assert not walked.emissions, mode
         solo = search(6, constraints, mode)
         assert search(6, constraints, mode, jobs=2) == solo, mode
         print(mode, solo.nodes_explored)
