@@ -54,13 +54,15 @@ run that ends sooner starts no process.  Past the budget the walk records
 each subtree it would have entered next as a task, a prefix of games, in
 walk order.  A process pool walks the tasks, and their results are merged
 whole in walk order, so the outcome and ``nodes_explored`` equal those of
-one walk.  A pool shares neither a walk's table nor its emitted schedules
+one walk; a run that stops, at its schedule or on an error, ends the
+workers.  A pool shares neither a walk's table nor its emitted schedules
 and made the runs that keep either slower, so they walk in this process.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -75,9 +77,9 @@ _UNCONSTRAINED_REFUSAL = 6
 MODES = ("first", "count", "enumerate")
 
 # Nodes a run with jobs > 1 walks in this process before it starts a process
-# pool: about 35 ms of walking, near twice what starting a two-worker pool
-# takes under the ``fork`` start method (``spawn`` and ``forkserver`` take
-# several times longer), so a run that ends sooner never waits for a pool.
+# pool: about 35 ms of walking, twice what starting and stopping a two-worker
+# pool takes under the ``fork`` start method (15-19 ms; 74-106 ms under
+# ``spawn`` and ``forkserver``), so a run that ends sooner never waits for one.
 _SPLIT_BUDGET = 30_000
 
 # A count or "enumerate" run looks up subtree counts by walk state when at
@@ -484,6 +486,21 @@ def _validate_search_args(n, constraints, mode, limit, jobs, allow_large):
         raise ValueError(f"limit applies only to mode 'enumerate', got mode {mode!r}")
 
 
+def _run_plan(n: int, constraints: SearchConstraints, mode: str, limit: int | None):
+    """``(keep, quota, tabled, poolable)``: a run keeps its schedules unless
+    it counts, and stops after ``quota`` of them (count mode walks the whole
+    tree).  Past its first schedule it keeps a table where that pays (see
+    ``_TABLE_MIN_FREE``).  Only a "first" run or a count without a table may
+    walk with the split budget and start a pool, so a budgeted walk keeps
+    no table and emits at most one schedule."""
+    keep = mode != "count"
+    quota = 1 if mode == "first" else limit if keep else None
+    rest = constraints.min_rest or 0
+    tabled = (quota != 1 and n - 2 * rest >= _TABLE_MIN_FREE
+              and (constraints.max_rdi is None or not rest))
+    return keep, quota, tabled, mode != "enumerate" and not tabled
+
+
 def search(n: int, constraints: SearchConstraints | None = None, mode: str = "first",
            limit: int | None = None, *, symmetry_breaking: bool = True, jobs: int = 1,
            allow_large: bool = False) -> SearchOutcome:
@@ -501,22 +518,14 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     that keeps no table of states, starts its walk in this process; a run
     that ends within a fixed budget of walked nodes starts no worker
     process.  Otherwise the subtrees left unwalked go to a pool of at most
-    ``min(jobs, os.cpu_count())`` worker processes, and their results are
-    merged whole, in walk order.  Every other run walks in this process
-    alone: a pool shares neither the table nor the schedules a walk has
-    emitted, and it made those runs slower.
+    ``min(jobs, os.cpu_count())`` worker processes, their results are
+    merged whole, in walk order, and the workers end when the merge stops.
+    Every other run walks in this process alone: a pool shares neither the
+    table nor the schedules a walk has emitted, and it made those runs slower.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)
-    # A walk stops after ``quota`` schedules; count mode keeps none and walks
-    # the whole tree.
-    keep = mode != "count"
-    quota = 1 if mode == "first" else limit if keep else None
-    # A run past its first schedule keeps a table where it pays (see
-    # ``_TABLE_MIN_FREE``).
-    rest = constraints.min_rest or 0
-    tabled = (quota != 1 and n - 2 * rest >= _TABLE_MIN_FREE
-              and (constraints.max_rdi is None or not rest))
+    keep, quota, tabled, poolable = _run_plan(n, constraints, mode, limit)
     walk = (n, constraints, symmetry_breaking, keep, quota, tabled)
     collected: list[tuple[tuple[int, int], ...]] = []
     count = nodes = 0
@@ -530,10 +539,7 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
         nodes += walked.nodes
         return count == quota
 
-    # Only a "first" run or a count without a table walks with a budget, so
-    # a budgeted walk keeps no table and emits at most one schedule.
-    pooled = jobs > 1 and mode != "enumerate" and not tabled
-    workers = min(jobs, os.cpu_count() or 1) if pooled else 1
+    workers = min(jobs, os.cpu_count() or 1) if poolable else 1
     entries: list = []
     if not merge(_walk(walk, (), _SPLIT_BUDGET if workers > 1 else None, entries)) and entries:
         _search_parallel(walk, workers, entries, merge)
@@ -552,27 +558,24 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 def _search_parallel(walk, workers: int, entries: list, merge) -> None:
     """Walk in a pool the tasks the budgeted walk left, and merge in walk order.
 
-    The run is a count or a "first" run, so each result is merged whole.
     ``entries`` holds the tasks, and the reused results of twin siblings
-    that follow them, in walk order.  A task may be listed more than once
-    (as its twin images): the pool walks it once and the merge uses its
-    result at each place.  The pool's ``map`` feeds its workers only about
-    one task each ahead of the merge, and shutting it down cancels the tasks
-    it has not fed, so a "first" run that stops leaves little work behind.
+    that follow them, in walk order.  A task listed more than once (as its
+    twin images) is walked once and its result merged at each place.  The
+    pool's ``imap`` yields the results in task order, and leaving the
+    ``with`` block terminates the workers, so a "first" run that stops, or
+    a merge that raises, ends every walk still running.
     """
     tasks = list(dict.fromkeys(entry for entry in entries
                                if not isinstance(entry, _Walked)))
-    pool = None
-    results = iter(())
-    walked: dict = {}
-    try:
-        if tasks:
-            # Imported here: the pool modules cost more than the rest of the
-            # package to import, and only runs that outlast the budget need them.
-            from concurrent.futures import ProcessPoolExecutor
+    if not tasks:
+        any(map(merge, entries))  # up to the first that stops the run
+        return
+    # Imported here: only runs that outlast the budget pay for the pool modules.
+    from multiprocessing import Pool
 
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-            results = pool.map(_walk, repeat(walk), tasks)
+    walked: dict = {}
+    with Pool(min(workers, len(tasks))) as pool:
+        results = pool.imap(partial(_walk, walk), tasks)
         for entry in entries:
             if not isinstance(entry, _Walked):
                 if entry not in walked:
@@ -580,9 +583,6 @@ def _search_parallel(walk, workers: int, entries: list, merge) -> None:
                 entry = walked[entry]
             if merge(entry):
                 return
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 def canonicalize(s: Schedule) -> Schedule:

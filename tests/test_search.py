@@ -12,7 +12,6 @@ import os
 import signal
 import subprocess
 import sys
-from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import pytest
@@ -61,6 +60,14 @@ class TestEmptinessResults:
     def test_odd_rest_bound(self, n):
         k = (n - 1) // 2
         assert search(n, SearchConstraints(min_rest=k), mode="first").found is None
+
+    # For even n, (p, d) = (1, 1) needs 4 | n (notes/decisions.md has the
+    # argument): these runs prove it empty at n = 2 (mod 4).
+    @pytest.mark.parametrize("n, nodes", [(6, 35), (10, 2869), (14, 491207)])
+    def test_even_unit_spread_and_rest_difference_need_four_to_divide_n(self, n, nodes):
+        outcome = search(n, SearchConstraints(max_gpd=1, max_rdi=1), mode="first",
+                         allow_large=True)
+        assert (outcome.found, outcome.nodes_explored) == (None, nodes)
 
     def test_impossibility_holds_without_symmetry_breaking(self):
         outcome = search(6, SearchConstraints(min_rest=1, max_gpd=1, max_rdi=1),
@@ -445,12 +452,10 @@ class TestParallelDeterminism:
     def test_single_branch_runs_without_a_process_pool(self, monkeypatch):
         # 92 nodes: the count keeps no table, but ends within the split
         # budget, so it never reaches the point where it would start a pool.
-        import concurrent.futures
-
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
         seq = search(5, SearchConstraints(min_rest=1), mode="count")
         par = search(5, SearchConstraints(min_rest=1), mode="count", jobs=2)
         assert par == seq
@@ -476,55 +481,36 @@ class TestParallelDeterminism:
         assert par.nodes_explored == seq.nodes_explored
 
 
-class _RunOnResult(Future):
-    """A future whose call runs when its result is first asked for."""
+class InProcessPool:
+    """Stands in for multiprocessing.Pool: its ``imap`` walks each task in
+    this process when the merge asks for its result, so no task runs ahead
+    of the merge.  Records the worker count, the results in the order they
+    ran and whether the ``with`` block has exited."""
 
-    def __init__(self, call):
-        super().__init__()
-        self._call = call
-
-    def result(self, timeout=None):
-        if not self.done():
-            self.set_running_or_notify_cancel()
-            try:
-                self.set_result(self._call())
-            except Exception as exc:  # delivered through the future, as a pool does
-                self.set_exception(exc)
-        return super().result(timeout)
-
-
-class InProcessExecutor(Executor):
-    """Stands in for ProcessPoolExecutor: runs each task in this process when
-    its result is asked for, so the inherited ``map`` runs no task ahead of
-    the merge.  Records the worker count, the results in the order they ran
-    and the ``cancel_futures`` that ``shutdown`` got (None before it)."""
-
-    def __init__(self, started, max_workers):
-        self.max_workers = max_workers
+    def __init__(self, started, processes):
+        self.processes = processes
         self.results = []
-        self.cancel_futures = None
+        self.exited = False
         started.append(self)
 
-    def submit(self, fn, /, *args):
-        def call():
-            result = fn(*args)
-            self.results.append(result)
-            return result
-        return _RunOnResult(call)
+    def __enter__(self):
+        return self
 
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.cancel_futures = cancel_futures
+    def __exit__(self, *exc_info):
+        self.exited = True
+
+    def imap(self, func, iterable):
+        for item in iterable:
+            self.results.append(func(item))
+            yield self.results[-1]
 
 
 @pytest.fixture
 def split(monkeypatch):
     """Run jobs > 1 searches in this process with a tiny split budget; yields
-    the setter of the budget and the list of executors the runs started."""
-    import concurrent.futures
-
+    the setter of the budget and the list of pools the runs started."""
     started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        functools.partial(InProcessExecutor, started))
+    monkeypatch.setattr(multiprocessing, "Pool", functools.partial(InProcessPool, started))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     def budget(nodes):
@@ -563,7 +549,7 @@ class TestBudgetedSplit:
             outcome = search(*case[:4], symmetry_breaking=case[4], jobs=jobs)
             assert outcome == expected, case
         assert started  # the grid did reach the pool
-        assert all(pool.cancel_futures is True for pool in started)
+        assert all(pool.exited for pool in started)
 
     # 84,159 nodes, of which about 14,000 are placed: the rest are reused
     # from twins, and do not count against the budget, so the default one
@@ -584,7 +570,7 @@ class TestBudgetedSplit:
                          symmetry_breaking=False, jobs=1000)
         assert outcome.count == search(5, SearchConstraints(min_rest=1), mode="count",
                                        symmetry_breaking=False).count
-        assert [pool.max_workers for pool in started] == [3]
+        assert [pool.processes for pool in started] == [3]
 
     def test_one_cpu_walks_in_this_process(self, split, monkeypatch):
         set_budget, started = split
@@ -627,10 +613,10 @@ class TestBudgetedSplit:
         assert found == search(6, constraints, mode="first")
         ran = started[1].results
         witness = next(i for i, walked in enumerate(ran) if walked.found)
-        # No task after the one that held the witness ran, and shutting the
-        # pool down cancels those a real pool has not fed to a worker yet.
+        # The merge asked for no result after the witness's, and left the
+        # ``with`` block, which terminates a real pool's workers.
         assert len(ran) == witness + 1 < everything
-        assert started[1].cancel_futures is True
+        assert started[1].exited
 
     @pytest.mark.parametrize("n, constraints, mode", [
         (6, SearchConstraints(min_rest=1, max_rdi=2), "count"),
@@ -667,16 +653,14 @@ class TestBudgetedSplit:
         assert len(merged) > len(ran)
 
     def test_real_pool_matches_a_sequential_walk(self, monkeypatch):
-        import concurrent.futures
-
         pools = []
+        pool = multiprocessing.Pool
 
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                pools.append(max_workers)
+        def counted_pool(processes):
+            pools.append(processes)
+            return pool(processes)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # The first runs merge a schedule that a worker found; the counts
@@ -700,6 +684,16 @@ class TestBudgetedSplit:
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "count 84159\nfirst 217\n"
+
+    # A "first" run that has merged the schedule a worker found must end the
+    # walks still running, not wait for them.
+    def test_first_run_ends_its_workers_when_it_stops(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        proc = subprocess.run([sys.executable, "-X", "dev", "-c", _STOPPED_POOL_RUN],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "first 217\n"
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(search_module, "_SPLIT_BUDGET", 3)
@@ -742,13 +736,35 @@ class TestCatalogue:
         assert _run_case(case) == case["expect"]
 
     # Budget 1 hands out the tree from its root; 500 leaves tasks below
-    # siblings that the walk has partly walked, and their twin images.
+    # siblings that the walk has partly walked, and their twin images.  A
+    # case that search()'s rule keeps in one process at any jobs makes, at
+    # jobs 2, the one unbudgeted walk it makes at jobs 1, which
+    # test_sequential_walk follows to its end: the test stops it there.
     @pytest.mark.parametrize("budget", [1, 500])
     @pytest.mark.parametrize("case", _catalogue_searches())
-    def test_split_walk(self, split, case, budget):
-        set_budget, _ = split
+    def test_split_walk(self, split, monkeypatch, case, budget):
+        set_budget, started = split
         set_budget(budget)
-        assert _run_case(case, jobs=2) == case["expect"]
+        constraints = SearchConstraints(**case["constraints"])
+        if search_module._run_plan(case["n"], constraints, case["mode"], case.get("limit"))[3]:
+            assert _run_case(case, jobs=2) == case["expect"]
+            return
+        walks = []
+
+        def first_walk(*args):
+            walks.append(args)
+            raise _Stopped
+
+        monkeypatch.setattr(search_module, "_walk", first_walk)
+        for jobs in (1, 2):
+            with pytest.raises(_Stopped):
+                _run_case(case, jobs)
+        assert walks[0] == walks[1] and walks[1][2] is None
+        assert started == []
+
+
+class _Stopped(Exception):
+    pass
 
 
 # Runs the catalogue count n6-rest1-rdi2 and its first run at jobs=2 under
@@ -778,6 +794,45 @@ if __name__ == "__main__":
         solo = search(6, constraints, mode)
         assert search(6, constraints, mode, jobs=2) == solo, mode
         print(mode, solo.nodes_explored)
+"""
+
+# Runs the six-team min_rest=1, max_rdi=2 first run at jobs=2 under fork,
+# with a budget of 50 nodes that leaves 12 tasks: the fourth holds the
+# witness.  Each worker walk of a later task first sleeps for 20 s, so the
+# run returns within 10 s only if stopping the merge ends the workers.
+_STOPPED_POOL_RUN = """
+import multiprocessing, os, sys, time
+from rrsched import SearchConstraints, search
+from rrsched.search import _walk, _Walked
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("fork")
+    os.cpu_count = lambda: 2
+    module = sys.modules["rrsched.search"]
+    module._SPLIT_BUDGET = 50
+    constraints = SearchConstraints(min_rest=1, max_rdi=2)
+    walk = (6, constraints, True, True, 1, False)
+    entries = []
+    _walk(walk, (), 50, entries)
+    tasks = list(dict.fromkeys(e for e in entries if not isinstance(e, _Walked)))
+    witness = next(i for i, task in enumerate(tasks) if _walk(walk, task).found)
+    later = set(tasks[witness + 1:])
+    assert later
+
+    def slow_walk(walk, prefix, budget=None, tasks=None):
+        if prefix in later:
+            time.sleep(20)
+        return _walk(walk, prefix, budget, tasks)
+
+    solo = search(6, constraints, "first")
+    module._walk = slow_walk
+    start = time.monotonic()
+    outcome = search(6, constraints, "first", jobs=2)
+    elapsed = time.monotonic() - start
+    assert outcome == solo, outcome
+    assert elapsed < 10, elapsed
+    assert not multiprocessing.active_children()
+    print("first", outcome.nodes_explored)
 """
 
 _walk_here = search_module._walk
