@@ -167,33 +167,39 @@ def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
             f"wrong number of games: expected {want} for n={n}, m={m}, got {len(games)}"
         )
 
-    # Pair (a, b) with a < b is counted at a * (n + 1) + b.  Allocated only
-    # now: the length check bounds it by the size of the input.
+    # The pair of teams low < high is counted at low * (n + 1) + high.
+    # Allocated only now: the length check bounds it by the size of the input.
     stride = n + 1
     counts = [0] * (n * stride)
     normalized: list[tuple[int, int]] = []
-    for idx, game in enumerate(games, start=1):
+    for game in games:
         try:
             a, b = game
         except (TypeError, ValueError):
             a = b = None
+        # An error's index is len(normalized) + 1: no counter runs per game.
         if type(a) is not int or type(b) is not int:
+            idx = len(normalized) + 1
             raise ScheduleValidationError(
                 f"game {idx} must be a pair of integer teams, got {reprlib.repr(game)}",
                 index=idx)
-        if a == b:
+        if a < b:
+            low, high = a, b
+        elif b < a:
+            low, high = b, a
+        else:
+            idx = len(normalized) + 1
             raise ScheduleValidationError(f"self-pair ({a}, {b}) at game {idx}", index=idx)
-        if not (1 <= a <= n and 1 <= b <= n):
-            team = b if 1 <= a <= n else a
-            raise ScheduleValidationError(
-                f"team {team} out of range 1..{n} at game {idx}", index=idx
-            )
-        key = a * stride + b if a < b else b * stride + a
+        if low < 1 or high > n:
+            idx, team = len(normalized) + 1, b if 1 <= a <= n else a
+            raise ScheduleValidationError(f"team {team} out of range 1..{n} at game {idx}",
+                                          index=idx)
+        key = low * stride + high
         count = counts[key] + 1
         if count > m:
+            idx = len(normalized) + 1
             raise ScheduleValidationError(
-                f"pair {(min(a, b), max(a, b))} occurs more than {m} time(s) "
-                f"at game {idx}", index=idx)
+                f"pair {(low, high)} occurs more than {m} time(s) at game {idx}", index=idx)
         counts[key] = count
         # A tuple subclass (a namedtuple) is rebuilt, so games are plain tuples.
         normalized.append(game if type(game) is tuple else (a, b))
@@ -250,19 +256,20 @@ def parse_schedule(data: str | bytes) -> Schedule:
         raise ParseError("missing 'n <team_count>' header")
     body = lines[lineno - 1:]
 
-    # The body in one pass.  In ASCII text without a sign or an underscore,
-    # int() reads a token exactly when it is all digits, as _game_rows
-    # requires; _game_rows reads any other body, and one this pass cannot.
+    # The body in one pass, which looks each token up among the decimal names
+    # of teams 1..n.  _game_rows reads any body this pass cannot, and one with
+    # fewer lines than games: no header, however large, builds the table.
     games = None
-    if data.isascii() and "+" not in data and "-" not in data and "_" not in data:
+    if expected_length(n, m) <= len(body):
+        team = {str(t): t for t in range(1, n + 1)}
         rows = filter(None, map(str.split, body))
         try:
             if "#" in data:  # a comment test on every row costs plain bodies ~10%
-                games = [(int(a), int(b)) for row in rows if row[0][0] != "#"
+                games = [(team[a], team[b]) for row in rows if row[0][0] != "#"
                          for a, b in (row,)]
             else:
-                games = [(int(a), int(b)) for a, b in rows]
-        except ValueError:  # a header, a bad token or a wrong token count
+                games = [(team[a], team[b]) for a, b in rows]
+        except (KeyError, ValueError):  # a header, another token or token count
             pass
     if games is None:
         games = [game for _, game in _game_rows(body, lineno)]
@@ -326,7 +333,8 @@ def schedule_to_json(s: Schedule, indent: int | None = None) -> str:
         "m": s.multiplicity,
         "games": s.games,
     }
-    return json.dumps(doc, indent=indent) + "\n"
+    # The document holds only the package's own tuples and ints: no cycle to look for.
+    return json.dumps(doc, indent=indent, check_circular=False) + "\n"
 
 
 def _decode(data: str | bytes) -> str:

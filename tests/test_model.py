@@ -1,7 +1,9 @@
 """Model layer: validation, round structure, text and structured I/O."""
 
 import sys
+import tracemalloc
 from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,14 @@ from rrsched import (
     duplicate_rounds,
     load_schedule,
     make_schedule,
+    odd_optimal_schedule,
     parse_schedule,
     round_structure,
     schedule_from_json,
     schedule_to_json,
     serialize_schedule,
 )
+from rrsched import model
 from rrsched.fixtures import FIVE_TEAM_OPTIMAL
 
 from conftest import all_pairs
@@ -137,6 +141,74 @@ class TestMakeSchedule:
     def test_multiplicity_two(self):
         s = make_schedule(3, 2, N3_GAMES + N3_GAMES)
         assert len(s) == 6 and s.multiplicity == 2
+
+
+Game = namedtuple("Game", "a b")
+
+# Games as tuples, lists and namedtuples, and how make_schedule's "pair of
+# integer teams" message shows a pair of each.
+_CONTAINERS = {
+    "tuple": (lambda a, b: (a, b), "({!r}, {!r})"),
+    "list": (lambda a, b: [a, b], "[{!r}, {!r}]"),
+    "namedtuple": (Game, "Game(a={!r}, b={!r})"),
+}
+
+# Each rejection make_schedule pins to a game: (id, the game built by a
+# container's pair function, the message with {idx} for its game number, or
+# None for the "pair of integer teams" message of that pair).
+# FIVE_TEAM_OPTIMAL opens with (1, 2), so (2, 1) after it repeats it reversed.
+_GAME_FAULTS = [
+    ("bare-int", lambda pair: 12, "game {idx} must be a pair of integer teams, got 12"),
+    ("fraction", lambda pair: pair(1, Fraction(2)), None),
+    ("bool", lambda pair: pair(True, 2), None),
+    ("float", lambda pair: pair(1.0, 2), None),
+    ("str", lambda pair: pair("1", 2), None),
+    ("none", lambda pair: None, "game {idx} must be a pair of integer teams, got None"),
+    ("three-tuple", lambda pair: (1, 2, 3),
+     "game {idx} must be a pair of integer teams, got (1, 2, 3)"),
+    ("self-pair", lambda pair: pair(3, 3), "self-pair (3, 3) at game {idx}"),
+    ("team-0-first", lambda pair: pair(0, 2), "team 0 out of range 1..5 at game {idx}"),
+    ("team-0-second", lambda pair: pair(2, 0), "team 0 out of range 1..5 at game {idx}"),
+    ("team-6-first", lambda pair: pair(6, 2), "team 6 out of range 1..5 at game {idx}"),
+    ("team-6-second", lambda pair: pair(2, 6), "team 6 out of range 1..5 at game {idx}"),
+    ("both-out", lambda pair: pair(-1, 6), "team -1 out of range 1..5 at game {idx}"),
+    ("reversed-repeat", lambda pair: pair(2, 1),
+     "pair (1, 2) occurs more than 1 time(s) at game {idx}"),
+]
+
+# The first, a middle and the last game; the first game repeats no pair.
+_FAULT_CASES = [pytest.param(build, message, idx, id=f"{fault}-{idx}")
+                for fault, build, message in _GAME_FAULTS for idx in (1, 5, 10)
+                if not (fault == "reversed-repeat" and idx == 1)]
+
+
+class TestMakeScheduleErrors:
+    """The message and index of each rejection, wherever the game sits and
+    whatever container holds the games."""
+
+    @pytest.mark.parametrize("container", _CONTAINERS)
+    @pytest.mark.parametrize("build, message, idx", _FAULT_CASES)
+    def test_message_and_index(self, build, message, idx, container):
+        pair, shown = _CONTAINERS[container]
+        game = build(pair)
+        if message is None:
+            message = "game {idx} must be a pair of integer teams, got " + shown.format(*game)
+        games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
+        games[idx - 1] = game
+        with pytest.raises(ScheduleValidationError) as exc:
+            make_schedule(5, 1, games)
+        assert (str(exc.value), exc.value.index) == (message.format(idx=idx), idx)
+
+    @pytest.mark.parametrize("container", _CONTAINERS)
+    def test_reversed_repeat_past_the_multiplicity(self, container):
+        pair, _ = _CONTAINERS[container]
+        games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
+        games += [pair(b, a) for a, b in FIVE_TEAM_OPTIMAL]
+        games[-1] = pair(2, 1)  # a third (1, 2), after (1, 2) and (2, 1)
+        with pytest.raises(ScheduleValidationError) as exc:
+            make_schedule(5, 2, games)
+        assert (str(exc.value), exc.value.index) == (
+            "pair (1, 2) occurs more than 2 time(s) at game 20", 20)
 
 
 class TestRoundStructure:
@@ -318,6 +390,40 @@ class TestTextFormat:
                 parse("\ufeff\ufeffn 3\n1 2\n1 3\n2 3\n")
             assert exc.value.line == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("n 1000000000\n1 2\n",
+         "wrong number of games: expected 499999999500000000 for n=1000000000, m=1, got 1"),
+        ("n 3\nm 1000000000\n1 2\n",
+         "wrong number of games: expected 3000000000 for n=3, m=1000000000, got 1"),
+    ], ids=["n", "m"])
+    def test_huge_header_allocates_nothing_per_team(self, text, message):
+        # A body with fewer lines than games is read line by line, without
+        # the table of team names the one-pass read builds.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_schedule(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (str(exc.value), exc.value.line) == (message, None)
+        assert peak < 1 << 20
+
+    def test_commented_body_is_read_in_one_pass(self, monkeypatch):
+        s = duplicate_rounds(circle_schedule(8), 2)
+        g = round_structure(8).g
+        header, games = ["n 8", "m 2"], serialize_schedule(s).splitlines()[2:]
+        lines = header[:]
+        for k in range(0, len(games), g):
+            lines += ["", f"# round {k // g + 1}"] + games[k:k + g]
+
+        def line_rules(body, first):
+            raise AssertionError("the body was read line by line")
+
+        monkeypatch.setattr(model, "_game_rows", line_rules)
+        assert parse_schedule("\n".join(lines) + "\n") == s
+        assert parse_schedule("\n".join(header + games) + "\n") == s
+
 
 def _bad_repeat(m, games, idx):
     """A pair that already occurs m times before game ``idx``, or None."""
@@ -428,6 +534,43 @@ class TestStructuredFormat:
         s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
         assert schedule_from_json(schedule_to_json(s)) == s
 
+    def test_bytes_are_pinned(self):
+        s = make_schedule(3, 2, [(2, 1), (1, 3), (3, 2), (1, 2), (3, 1), (2, 3)])
+        assert schedule_to_json(s) == (
+            '{"n": 3, "m": 2, "games": [[2, 1], [1, 3], [3, 2], [1, 2], [3, 1], [2, 3]]}\n')
+        assert schedule_to_json(s, indent=2) == """\
+{
+  "n": 3,
+  "m": 2,
+  "games": [
+    [
+      2,
+      1
+    ],
+    [
+      1,
+      3
+    ],
+    [
+      3,
+      2
+    ],
+    [
+      1,
+      2
+    ],
+    [
+      3,
+      1
+    ],
+    [
+      2,
+      3
+    ]
+  ]
+}
+"""
+
     def test_default_multiplicity(self):
         s = schedule_from_json('{"n": 3, "games": [[1, 2], [1, 3], [2, 3]]}')
         assert s.multiplicity == 1
@@ -500,3 +643,100 @@ class TestProperties:
         for team in s.teams:
             appearances = sum(1 for g in s.games if team in g)
             assert appearances == s.multiplicity * (s.team_count - 1)
+
+
+def _line_rules(text, n, m, first):
+    """What parse_schedule must give for ``text``, whose body opens at line
+    ``first``: _game_rows reads the body, make_schedule validates the games
+    and a validation error names the line of its game."""
+    body = model._lines(model._decode(text))[first - 1:]
+    rows = list(model._game_rows(body, first))
+    try:
+        return make_schedule(n, m, [game for _, game in rows])
+    except ScheduleValidationError as exc:
+        if exc.index is None:
+            raise ParseError(str(exc)) from exc
+        line = rows[exc.index - 1][0]
+        raise ParseError(f"{exc} (line {line})", line=line) from exc
+
+
+def _outcome(read, *args):
+    """``read(*args)``'s Schedule, or its ParseError's message and line."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+# Edits of one game line "a b" of a five-team schedule.
+_LINE_EDITS = {
+    "01": lambda a, b: f"0{a} {b}",
+    "0": lambda a, b: f"{a} 0",
+    "team-n+1": lambda a, b: f"{a} 6",
+    "+1": lambda a, b: f"+{a} {b}",
+    "1_0": lambda a, b: f"{a} 1_0",
+    "arabic-indic-3": lambda a, b: f"{a} ٣",
+    "tab": lambda a, b: f"{a}\t{b}",
+    "three-tokens": lambda a, b: f"{a} {b} 1",
+    "n-header": lambda a, b: "n 5",
+    "m-header": lambda a, b: "m 2",
+}
+
+
+class TestReaderParity:
+    """parse_schedule gives what the line rules give: the same Schedule, or
+    the same ParseError message and line, however the body is read."""
+
+    # A comment line anywhere changes how the body's rows are read.
+    @pytest.mark.parametrize("lead", [[], ["# round robin"]], ids=["plain", "commented"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", None], ids=["lf", "crlf", "no-final"])
+    @pytest.mark.parametrize("position", [0, 10, 19], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("edit", _LINE_EDITS)
+    def test_edited_line(self, edit, position, ending, lead):
+        s = duplicate_rounds(odd_optimal_schedule(5), 2)
+        lines = serialize_schedule(s).splitlines()  # "n 5", "m 2", then 20 games
+        lines[2 + position] = _LINE_EDITS[edit](*s.games[position])
+        text = (ending or "\n").join(lead + lines) + (ending or "")
+        assert (_outcome(parse_schedule, text)
+                == _outcome(_line_rules, text, 5, 2, 3 + len(lead)))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", None], ids=["lf", "crlf", "no-final"])
+    def test_unedited(self, ending):
+        s = duplicate_rounds(odd_optimal_schedule(5), 2)
+        text = (ending or "\n").join(serialize_schedule(s).splitlines()) + (ending or "")
+        assert parse_schedule(text) == _line_rules(text, 5, 2, 3) == s
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_schedules(self, data):
+        s = data.draw(schedules())
+        n, m = s.team_count, s.multiplicity
+        lines = serialize_schedule(s).splitlines()
+        head = 1 if m == 1 else 2
+        tokens = st.sampled_from(["01", "0", "00", str(n + 1), "+1", "-1", "1_0", "٣",
+                                  "１", "n", "m", "#", "x"]) | st.integers(1, n).map(str)
+        # Edits past the first game line, which therefore stays the body's
+        # first line: an "m 2" there would be read as the head's m header.
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(["token", "insert", "tab", "copy"]))
+            if kind == "insert":
+                at = data.draw(st.integers(head + 1, len(lines)))
+                lines.insert(at, data.draw(st.sampled_from(
+                    ["", "  ", "# round 2", "#", "n 3", "m 2", "1 2 3", "1", "1 # 2"])))
+                continue
+            if len(lines) == head + 1:
+                continue
+            at = data.draw(st.integers(head + 1, len(lines) - 1))
+            row = lines[at].split() or ["1"]
+            if kind == "token":
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(tokens)
+                lines[at] = " ".join(row)
+            elif kind == "tab":
+                lines[at] = "\t".join(row)
+            else:
+                lines[at] = lines[data.draw(st.integers(head, len(lines) - 1))]
+        lead = data.draw(st.sampled_from([[], ["# round robin"]]))
+        ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = ending.join(lead + lines) + data.draw(st.sampled_from([ending, ""]))
+        assert (_outcome(parse_schedule, text)
+                == _outcome(_line_rules, text, n, m, len(lead) + head + 1))
