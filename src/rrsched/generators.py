@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .model import Schedule, _check_count, make_schedule, round_structure
+from .model import Schedule, _check_count, _valid_schedule, round_structure
 
 _DUMMY = 0
 
@@ -52,7 +52,7 @@ def circle_schedule(n: int) -> Schedule:
                 games.append((x, y))
         if round_no < rounds - 1:
             top, bottom = [top[0], bottom[0]] + top[1:-1], bottom[1:] + [top[-1]]
-    return make_schedule(n, 1, games)
+    return Schedule(n, 1, games)
 
 
 def _odd_slot(n: int, k: int, team: int, j: int) -> int:
@@ -112,17 +112,14 @@ def odd_optimal_schedule(n: int) -> Schedule:
         for slot in range(1, k + 1):
             x, y = by_slot[slot]
             games.append((x, y))
-    return make_schedule(n, 1, games)
+    return Schedule(n, 1, games)
 
 
 def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     """Repeat each round block ``factor`` times, giving multiplicity ``factor``.
 
-    Requires a single round robin (m = 1), which :func:`make_schedule`
-    validates: a hand-built ``s`` with a repeated pair, a self-pair, a team
-    out of range or a wrong game count raises :class:`ScheduleValidationError`.
-    Copies of a valid round robin's blocks form a valid m-fold round robin,
-    so the copy is not checked again.
+    Requires a single round robin (m = 1).  Copies of the blocks of a valid
+    round robin, as every :class:`Schedule` is, are valid: none is checked.
 
     For schedules in which no team plays twice within a round block (both
     generators in this module), the guaranteed rest time is unchanged by
@@ -134,7 +131,6 @@ def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     _check_count("duplication factor", factor, 1)
     if s.multiplicity != 1:
         raise ValueError(f"can only duplicate a single round robin, got m={s.multiplicity}")
-    games = make_schedule(s.team_count, 1, s.games).games
-    g = round_structure(s.team_count).g
-    return Schedule(s.team_count, factor, tuple(chain.from_iterable(
+    games, g = s.games, round_structure(s.team_count).g
+    return _valid_schedule(s.team_count, factor, tuple(chain.from_iterable(
         games[start:start + g] * factor for start in range(0, len(games), g))))

@@ -3,7 +3,8 @@
 An asynchronous round-robin schedule is a total order on games: game i is the
 i-th game played, and no two games overlap.  Teams are 1-based integers; a
 schedule for ``n`` teams with multiplicity ``m`` contains every unordered pair
-of distinct teams exactly ``m`` times.
+of distinct teams exactly ``m`` times.  Constructing a :class:`Schedule`
+checks this, so every Schedule is valid.
 
 A game is a plain ``(a, b)`` tuple of ints in its stored orientation, which
 serialization keeps.  Validation counts ``(a, b)`` and ``(b, a)`` as the same
@@ -81,19 +82,74 @@ class _Record:
 
 
 class Schedule(_Record):
-    """A validated total order on the games of an m-fold round robin.
+    """A total order on the games of an m-fold round robin, valid by construction.
 
-    Construct through :func:`make_schedule` (or the parsers), which enforce
-    the invariants; instances are immutable after construction.
+    The text and JSON parsers and the generators all meet this one check,
+    and so does unpickling.  ``team_count`` and ``multiplicity`` are the
+    counts ``n`` and ``m``, of at least 2 and 1 (see :func:`_check_count`).
+    :class:`ScheduleValidationError` reports a wrong game count (no index), or
+    by 1-based ``index`` the first game that is not two ``int`` teams
+    (``bool``, ``float`` and ``str`` are rejected), is a self-pair, has a team
+    outside 1..n, or repeats a pair more than ``m`` times.  ``(a, b)`` and
+    ``(b, a)`` count as the same pair; games are stored as tuples in the given
+    orientation, and a game that already is a plain ``tuple`` is stored as is.
     """
 
     __slots__ = ("team_count", "multiplicity", "games")
 
-    def __init__(self, team_count: int, multiplicity: int,
-                 games: tuple[tuple[int, int], ...]):
-        _set_field(self, "team_count", team_count)
-        _set_field(self, "multiplicity", multiplicity)
-        _set_field(self, "games", games)
+    def __init__(self, team_count: int, multiplicity: int, games: Sequence[Sequence[int]]):
+        n, m = team_count, multiplicity
+        _check_count("n", n, 2)
+        _check_count("m", m, 1)
+        if not games:
+            raise ScheduleValidationError("empty game sequence")
+
+        want = expected_length(n, m)
+        if len(games) != want:
+            raise ScheduleValidationError(
+                f"wrong number of games: expected {want} for n={n}, m={m}, got {len(games)}")
+
+        # The pair of teams low < high is counted at low * (n + 1) + high.
+        # Allocated only now: the length check bounds it by the size of the input.
+        stride = n + 1
+        counts = [0] * (n * stride)
+        normalized: list[tuple[int, int]] = []
+        for game in games:
+            try:
+                a, b = game
+            except (TypeError, ValueError):
+                a = b = None
+            # An error's index is len(normalized) + 1: no counter runs per game.
+            if type(a) is not int or type(b) is not int:
+                idx = len(normalized) + 1
+                raise ScheduleValidationError(
+                    f"game {idx} must be a pair of integer teams, got {reprlib.repr(game)}",
+                    index=idx)
+            if a < b:
+                low, high = a, b
+            elif b < a:
+                low, high = b, a
+            else:
+                idx = len(normalized) + 1
+                raise ScheduleValidationError(f"self-pair ({a}, {b}) at game {idx}", index=idx)
+            if low < 1 or high > n:
+                idx, team = len(normalized) + 1, b if 1 <= a <= n else a
+                raise ScheduleValidationError(f"team {team} out of range 1..{n} at game {idx}",
+                                              index=idx)
+            key = low * stride + high
+            count = counts[key] + 1
+            if count > m:
+                idx = len(normalized) + 1
+                raise ScheduleValidationError(
+                    f"pair {(low, high)} occurs more than {m} time(s) at game {idx}", index=idx)
+            counts[key] = count
+            # A tuple subclass (a namedtuple) is rebuilt, so games are plain tuples.
+            normalized.append(game if type(game) is tuple else (a, b))
+
+        # Length and per-pair caps together force every pair to appear exactly m times.
+        _set_field(self, "team_count", n)
+        _set_field(self, "multiplicity", m)
+        _set_field(self, "games", tuple(normalized))
 
     def __len__(self) -> int:
         return len(self.games)
@@ -101,6 +157,15 @@ class Schedule(_Record):
     @property
     def teams(self) -> range:
         return range(1, self.team_count + 1)
+
+
+def _valid_schedule(n: int, m: int, games: tuple[tuple[int, int], ...]) -> Schedule:
+    """A Schedule of plain-tuple games valid by construction; nothing is checked."""
+    s = object.__new__(Schedule)
+    _set_field(s, "team_count", n)
+    _set_field(s, "multiplicity", m)
+    _set_field(s, "games", games)
+    return s
 
 
 class RoundStructure(_Record):
@@ -145,67 +210,8 @@ def round_structure(n: int) -> RoundStructure:
 
 
 def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
-    """Validate a sequence of ``(a, b)`` games and return the Schedule.
-
-    The text and JSON parsers and the generators all meet this one check.
-    ``n`` and ``m`` are counts of at least 2 and 1 (see :func:`_check_count`).
-    :class:`ScheduleValidationError` reports a wrong game count (no index), or
-    by 1-based ``index`` the first game that is not two ``int`` teams
-    (``bool``, ``float`` and ``str`` are rejected), is a self-pair, has a team
-    outside 1..n, or repeats a pair more than ``m`` times.  ``(a, b)`` and
-    ``(b, a)`` count as the same pair; games are stored as tuples in the given
-    orientation, and a game that already is a plain ``tuple`` is stored as is.
-    """
-    _check_count("n", n, 2)
-    _check_count("m", m, 1)
-    if not games:
-        raise ScheduleValidationError("empty game sequence")
-
-    want = expected_length(n, m)
-    if len(games) != want:
-        raise ScheduleValidationError(
-            f"wrong number of games: expected {want} for n={n}, m={m}, got {len(games)}"
-        )
-
-    # The pair of teams low < high is counted at low * (n + 1) + high.
-    # Allocated only now: the length check bounds it by the size of the input.
-    stride = n + 1
-    counts = [0] * (n * stride)
-    normalized: list[tuple[int, int]] = []
-    for game in games:
-        try:
-            a, b = game
-        except (TypeError, ValueError):
-            a = b = None
-        # An error's index is len(normalized) + 1: no counter runs per game.
-        if type(a) is not int or type(b) is not int:
-            idx = len(normalized) + 1
-            raise ScheduleValidationError(
-                f"game {idx} must be a pair of integer teams, got {reprlib.repr(game)}",
-                index=idx)
-        if a < b:
-            low, high = a, b
-        elif b < a:
-            low, high = b, a
-        else:
-            idx = len(normalized) + 1
-            raise ScheduleValidationError(f"self-pair ({a}, {b}) at game {idx}", index=idx)
-        if low < 1 or high > n:
-            idx, team = len(normalized) + 1, b if 1 <= a <= n else a
-            raise ScheduleValidationError(f"team {team} out of range 1..{n} at game {idx}",
-                                          index=idx)
-        key = low * stride + high
-        count = counts[key] + 1
-        if count > m:
-            idx = len(normalized) + 1
-            raise ScheduleValidationError(
-                f"pair {(low, high)} occurs more than {m} time(s) at game {idx}", index=idx)
-        counts[key] = count
-        # A tuple subclass (a namedtuple) is rebuilt, so games are plain tuples.
-        normalized.append(game if type(game) is tuple else (a, b))
-
-    # Length and per-pair caps together force every pair to appear exactly m times.
-    return Schedule(team_count=n, multiplicity=m, games=tuple(normalized))
+    """``Schedule(n, m, games)``: validate ``(a, b)`` games and return the Schedule."""
+    return Schedule(n, m, games)
 
 
 def serialize_schedule(s: Schedule) -> str:
@@ -274,7 +280,7 @@ def parse_schedule(data: str | bytes) -> Schedule:
     if games is None:
         games = [game for _, game in _game_rows(body, lineno)]
     try:
-        return make_schedule(n, m, games)
+        return Schedule(n, m, games)
     except ScheduleValidationError as exc:
         if exc.index is None:
             raise ParseError(str(exc)) from exc
@@ -362,7 +368,7 @@ def schedule_from_json(data: str | bytes) -> Schedule:
     """Parse the structured form; inverse of :func:`schedule_to_json`.
 
     Every type and range check on ``n``, ``m`` and the games is
-    :func:`make_schedule`'s; its errors are raised as :class:`ParseError`.
+    :class:`Schedule`'s; its errors are raised as :class:`ParseError`.
     """
     import json  # only the structured format loads the json modules
 
@@ -383,14 +389,14 @@ def schedule_from_json(data: str | bytes) -> Schedule:
     if not isinstance(doc["games"], list):
         raise ParseError("field 'games' must be an array of [a, b] pairs")
     try:
-        return make_schedule(doc["n"], doc.get("m", 1), doc["games"])
+        return Schedule(doc["n"], doc.get("m", 1), doc["games"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def load_schedule(data: str | bytes) -> Schedule:
-    """Parse either accepted format, sniffing JSON by a leading ``{``."""
+    """Parse either accepted format, sniffing JSON by a leading ``{`` or ``[``."""
     # Each parser decodes ``data`` itself, so one byte-order mark is dropped.
-    if _decode(data).lstrip().startswith("{"):
+    if _decode(data).lstrip().startswith(("{", "[")):
         return schedule_from_json(data)
     return parse_schedule(data)

@@ -66,7 +66,7 @@ from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .model import Schedule, _check_count, _Record, _set_field, expected_length
+from .model import Schedule, _check_count, _Record, _set_field, _valid_schedule, expected_length
 
 DEFAULT_TEAM_CEILING = 8
 # Unconstrained runs range over every ordering of the n(n-1)/2 games, 15!
@@ -546,9 +546,7 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
 
     if not keep:
         return SearchOutcome(mode=mode, nodes_explored=nodes, count=count)
-    # Walked sequences are complete and valid by construction, so they skip
-    # make_schedule.
-    schedules = tuple(map(Schedule, repeat(n), repeat(1), collected))
+    schedules = tuple(map(_valid_schedule, repeat(n), repeat(1), collected))
     if mode == "first":
         return SearchOutcome(mode=mode, nodes_explored=nodes,
                              found=schedules[0] if schedules else None)
@@ -602,4 +600,4 @@ def canonicalize(s: Schedule) -> Schedule:
                 mapping[team] = len(mapping) + 1
         x, y = mapping[a], mapping[b]
         games.append((x, y) if x < y else (y, x))
-    return Schedule(team_count=s.team_count, multiplicity=s.multiplicity, games=tuple(games))
+    return _valid_schedule(s.team_count, s.multiplicity, tuple(games))

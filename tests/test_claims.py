@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from rrsched import CLAIM_NAMES, verify_claim
+import rrsched.claims as claims
+from rrsched import (
+    CLAIM_NAMES,
+    SearchOutcome,
+    circle_schedule,
+    duplicate_rounds,
+    evaluate,
+    make_schedule,
+    odd_optimal_schedule,
+    verify_claim,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -142,3 +152,66 @@ def test_readme_lists_every_claim_in_order():
                       re.MULTILINE | re.DOTALL)
     assert match, "README has no 'Claims:' list"
     assert tuple(re.findall(r"`([^`]+)`", match.group(1))) == CLAIM_NAMES
+
+
+class TestFailingClaims:
+    """Each claim helper's failing branch, reached by stubbing what it calls."""
+
+    def test_empty_search_claim_reports_its_counterexample(self, monkeypatch):
+        witness = circle_schedule(4)
+        monkeypatch.setattr(claims, "search", lambda n, constraints, mode: SearchOutcome(
+            mode=mode, nodes_explored=7, found=witness))
+        report = verify_claim("even-rest-bound")
+        assert (report.passed, report.teams, report.details, report.nodes_explored) == (
+            False, 4, "counterexample found: a schedule with rest time >= 1 "
+            "(claimed maximum is 0) exists", 7)
+        assert report.witness is witness
+
+    def test_expected_metrics_claim_reports_the_wrong_triple(self, monkeypatch):
+        monkeypatch.setattr(claims, "odd_optimal_schedule", circle_schedule)
+        report = verify_claim("odd-optimal-metrics", 5)
+        assert (report.passed, report.details, report.nodes_explored, report.witness) == (
+            False, "expected (b, p, d) = (1, 1, 1), got (0, 2, 3)", None, None)
+
+    def test_max_rest_claim_reports_its_first_bad_schedule(self, monkeypatch):
+        good = odd_optimal_schedule(5)
+        bad = [circle_schedule(5),
+               make_schedule(5, 1, sorted(circle_schedule(5).games))]
+        assert [evaluate(s).rest_difference_index != 1 for s in (good, *bad)] == [
+            False, True, True]
+        monkeypatch.setattr(claims, "search", lambda n, constraints, mode: SearchOutcome(
+            mode=mode, nodes_explored=11, schedules=(good, *bad)))
+        report = verify_claim("odd-rdi-lemma", 5)
+        assert (report.passed, report.details, report.nodes_explored) == (
+            False, "3 canonical schedule(s) with rest time 1; "
+            "2 with rest difference index != 1", 11)
+        assert report.witness is bad[0]
+
+    def test_max_rest_claim_fails_on_an_empty_enumeration(self, monkeypatch):
+        monkeypatch.setattr(claims, "search", lambda n, constraints, mode: SearchOutcome(
+            mode=mode, nodes_explored=1))
+        report = verify_claim("always-win", 5)
+        assert (report.passed, report.details, report.nodes_explored, report.witness) == (
+            False, "0 canonical schedule(s) with rest time 1; "
+            "0 without an always-better-rested team", 1, None)
+
+    def test_figure_fixtures_names_each_mismatch(self, monkeypatch):
+        monkeypatch.setattr(claims, "odd_optimal_schedule", circle_schedule)
+        report = verify_claim("figure-fixtures")
+        assert (report.passed, report.details, report.witness) == (
+            False, "mismatch in: 5-team optimal schedule, 7-team optimal schedule", None)
+
+    @pytest.mark.parametrize("teams", [5, 6])
+    def test_duplication_preserves_names_each_change(self, monkeypatch, teams):
+        # A triple copy in sorted game order puts a team in back-to-back
+        # games, so its rest time drops to 0.
+        def duplicate(s, factor):
+            copy = duplicate_rounds(s, factor)
+            if factor == 3:
+                return make_schedule(s.team_count, 3, sorted(copy.games))
+            return copy
+
+        monkeypatch.setattr(claims, "duplicate_rounds", duplicate)
+        report = verify_claim("duplication-preserves", teams)
+        assert (report.passed, report.teams, report.details) == (
+            False, teams, f"changed for: n={teams} x3")

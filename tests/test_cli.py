@@ -177,6 +177,17 @@ class TestEvaluate:
         assert code == 2
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 3, "games": 5}\n', "field 'games' must be an array of [a, b] pairs"),
+        ("[[1, 2], [1, 3], [2, 3]]\n", "structured schedule must be a JSON object"),
+    ], ids=["games-not-an-array", "json-array"])
+    def test_structured_document_error_exits_2(self, capsys, tmp_path, text, message):
+        target = tmp_path / "bad.json"
+        target.write_text(text)
+        code, out, err = run(capsys, "evaluate", str(target))
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         "n 3\n1 2\n1 3\n2 3\n",
         '{"n": 3, "games": [[1, 2], [1, 3], [2, 3]]}',

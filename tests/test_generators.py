@@ -191,7 +191,8 @@ class TestDuplicateRounds:
         dup = duplicate_rounds(circle_schedule(2), 3)
         assert len(dup) == 3 and dup.multiplicity == 3
 
-    # A Schedule built by hand skips make_schedule; duplicate_rounds checks it.
+    # A hand-built Schedule is checked by its own constructor: an invalid
+    # one never reaches duplicate_rounds.
     @pytest.mark.parametrize("games, message", [
         (((1, 2), (1, 2), (2, 3)), r"pair \(1, 2\) occurs more than 1 time\(s\) at game 2"),
         (((1, 1), (1, 3), (2, 3)), r"self-pair \(1, 1\) at game 1"),
@@ -199,8 +200,9 @@ class TestDuplicateRounds:
     ], ids=["repeated-pair", "self-pair", "out-of-range"])
     @pytest.mark.parametrize("factor", [1, 2])
     def test_rejects_invalid_hand_built_input(self, games, message, factor):
-        with pytest.raises(ScheduleValidationError, match=message):
+        with pytest.raises(ScheduleValidationError, match=message) as exc:
             duplicate_rounds(Schedule(3, 1, games), factor)
+        assert exc.traceback[-1].name == "__init__"
 
     def test_list_games_come_back_as_tuples(self):
         dup = duplicate_rounds(Schedule(3, 1, [[1, 2], [1, 3], [2, 3]]), 2)

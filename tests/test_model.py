@@ -1,5 +1,6 @@
 """Model layer: validation, round structure, text and structured I/O."""
 
+import pickle
 import sys
 import tracemalloc
 from collections import namedtuple
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from rrsched import (
     ParseError,
+    Schedule,
     ScheduleValidationError,
+    SearchConstraints,
     canonicalize,
     circle_schedule,
     duplicate_rounds,
@@ -22,6 +25,7 @@ from rrsched import (
     round_structure,
     schedule_from_json,
     schedule_to_json,
+    search,
     serialize_schedule,
 )
 from rrsched import model
@@ -195,9 +199,10 @@ class TestMakeScheduleErrors:
             message = "game {idx} must be a pair of integer teams, got " + shown.format(*game)
         games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
         games[idx - 1] = game
-        with pytest.raises(ScheduleValidationError) as exc:
-            make_schedule(5, 1, games)
-        assert (str(exc.value), exc.value.index) == (message.format(idx=idx), idx)
+        for build_schedule in (make_schedule, Schedule):
+            with pytest.raises(ScheduleValidationError) as exc:
+                build_schedule(5, 1, games)
+            assert (str(exc.value), exc.value.index) == (message.format(idx=idx), idx)
 
     @pytest.mark.parametrize("container", _CONTAINERS)
     def test_reversed_repeat_past_the_multiplicity(self, container):
@@ -205,10 +210,72 @@ class TestMakeScheduleErrors:
         games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
         games += [pair(b, a) for a, b in FIVE_TEAM_OPTIMAL]
         games[-1] = pair(2, 1)  # a third (1, 2), after (1, 2) and (2, 1)
-        with pytest.raises(ScheduleValidationError) as exc:
-            make_schedule(5, 2, games)
-        assert (str(exc.value), exc.value.index) == (
-            "pair (1, 2) occurs more than 2 time(s) at game 20", 20)
+        for build_schedule in (make_schedule, Schedule):
+            with pytest.raises(ScheduleValidationError) as exc:
+                build_schedule(5, 2, games)
+            assert (str(exc.value), exc.value.index) == (
+                "pair (1, 2) occurs more than 2 time(s) at game 20", 20)
+
+    @pytest.mark.parametrize("container", _CONTAINERS)
+    def test_valid_games_give_equal_schedules_of_plain_tuples(self, container):
+        pair, _ = _CONTAINERS[container]
+        games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
+        built = make_schedule(5, 1, games)
+        assert built == Schedule(5, 1, games) == Schedule(5, 1, tuple(FIVE_TEAM_OPTIMAL))
+        assert all(type(game) is tuple for game in built.games)
+
+
+def _refuse_construction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Schedule.__init__ called")
+
+    monkeypatch.setattr(Schedule, "__init__", refuse)
+
+
+class TestValidByConstruction:
+    """Only the constructor checks a round robin, and nothing whose games are
+    valid by construction calls it."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9])
+    def test_duplicate_rounds_copies_without_a_check(self, n, monkeypatch):
+        s = circle_schedule(n) if n % 2 == 0 else odd_optimal_schedule(n)
+        want = duplicate_rounds(s, 3)
+        _refuse_construction(monkeypatch)
+        assert duplicate_rounds(s, 3) == want
+
+    @pytest.mark.parametrize("mode", ["first", "enumerate"])
+    def test_search_builds_its_schedules_without_a_check(self, mode, monkeypatch):
+        constraints = SearchConstraints(min_rest=1)
+        want = search(5, constraints, mode=mode)
+        _refuse_construction(monkeypatch)
+        assert search(5, constraints, mode=mode) == want
+        assert want.found is not None or len(want.schedules) == 8
+
+    def test_canonicalize_relabels_without_a_check(self, monkeypatch):
+        s = make_schedule(5, 1, [(b, a) for a, b in reversed(FIVE_TEAM_OPTIMAL)])
+        want = canonicalize(s)
+        _refuse_construction(monkeypatch)
+        assert canonicalize(s) == want
+
+    def test_refused_constructor_stops_the_checked_paths(self, monkeypatch):
+        _refuse_construction(monkeypatch)
+        for build in (lambda: make_schedule(3, 1, N3_GAMES), lambda: circle_schedule(4),
+                      lambda: parse_schedule("n 2\n1 2\n"),
+                      lambda: schedule_from_json('{"n": 2, "games": [[1, 2]]}')):
+            with pytest.raises(AssertionError, match="Schedule.__init__ called"):
+                build()
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_goes_through_the_constructor(self, protocol):
+        class Forged:  # pickles as a Schedule of a repeated pair
+            def __reduce__(self):
+                return Schedule, (3, 1, ((1, 2), (2, 1), (2, 3)))
+
+        with pytest.raises(ScheduleValidationError,
+                           match=r"pair \(1, 2\) occurs more than 1 time\(s\) at game 2"):
+            pickle.loads(pickle.dumps(Forged(), protocol))
+        s = make_schedule(3, 1, N3_GAMES)
+        assert pickle.loads(pickle.dumps(s, protocol)) == s
 
 
 class TestRoundStructure:
@@ -529,6 +596,15 @@ class TestPlantedFaults:
         assert planted
 
 
+# Documents whose "games" field is not an array.
+_GAMES_NOT_AN_ARRAY = [
+    '{"n": 3, "games": 5}',
+    '{"n": 3, "games": "12"}',
+    '{"n": 3, "games": {}}',
+    '{"n": 3, "games": null}',
+]
+
+
 class TestStructuredFormat:
     def test_round_trip(self):
         s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
@@ -590,9 +666,12 @@ class TestStructuredFormat:
         '{"n": 3, "games": [[1, 2], [1, 3], null]}',
         '{"n": 3, "games": [[1, 2], [1, 3], "23"]}',
         b'{"n": 3, "games": [[1, 2], [1, 3], [2, 3]], "\xff": 0}',
+        *_GAMES_NOT_AN_ARRAY,
     ])
     def test_malformed_documents(self, doc):
-        with pytest.raises(ParseError):
+        match = "field 'games' must be an array of \\[a, b\\] pairs" if (
+            doc in _GAMES_NOT_AN_ARRAY) else None
+        with pytest.raises(ParseError, match=match):
             schedule_from_json(doc)
 
     def test_deep_nesting_is_a_parse_error(self):
@@ -612,6 +691,16 @@ class TestStructuredFormat:
         assert load_schedule(schedule_to_json(s)) == s
         assert load_schedule(serialize_schedule(s)) == s
         assert load_schedule("  " + schedule_to_json(s)) == s
+
+    # No text schedule starts with "[", so an array is read as a JSON
+    # document; it was once a text body without an "n" header.
+    @pytest.mark.parametrize("prefix", ["", " \n\t", "\ufeff", "\ufeff  "])
+    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+    def test_load_schedule_reads_an_array_as_json(self, prefix, encode):
+        data = prefix + "[[1, 2], [1, 3], [2, 3]]\n"
+        with pytest.raises(ParseError) as exc:
+            load_schedule(data.encode() if encode else data)
+        assert str(exc.value) == "structured schedule must be a JSON object"
 
 
 @st.composite

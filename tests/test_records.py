@@ -61,9 +61,17 @@ class TestRecord:
         record = cls(*values)
         assert record == cls(*values) and not record != cls(*values)
         assert record != values
-        for i, value in enumerate(values):
-            changed = value + 1 if type(value) is int else 0 if value is None else None
-            assert record != cls(*values[:i], changed, *values[i + 1:])
+        if cls is Schedule:
+            # A Schedule is valid by construction, so each of these differs
+            # from SCHEDULE in one field and as much else as validity needs.
+            others = [Schedule(2, 1, ((1, 2),)), Schedule(3, 2, GAMES * 2),
+                      Schedule(3, 1, GAMES[::-1])]
+        else:
+            others = [cls(*values[:i], value + 1 if type(value) is int
+                          else 0 if value is None else None, *values[i + 1:])
+                      for i, value in enumerate(values)]
+        for other in others:
+            assert record != other
 
     def test_hash_is_the_hash_of_the_fields(self, cls, names, values, text):
         record = cls(*values)
