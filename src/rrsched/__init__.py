@@ -26,13 +26,10 @@ _EXPORTS = {
     "evaluate": "metrics",
     "report_to_json": "metrics",
     "ParseError": "model",
-    "RoundStructure": "model",
     "Schedule": "model",
     "ScheduleValidationError": "model",
     "load_schedule": "model",
-    "make_schedule": "model",
     "parse_schedule": "model",
-    "round_structure": "model",
     "schedule_from_json": "model",
     "schedule_to_json": "model",
     "serialize_schedule": "model",

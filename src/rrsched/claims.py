@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import fixtures
 from .generators import circle_schedule, duplicate_rounds, odd_optimal_schedule
 from .metrics import evaluate
-from .model import Schedule, _check_count, _Record, _set_field
+from .model import Schedule, _check_count, _Record
 from .search import DEFAULT_TEAM_CEILING, SearchConstraints, search
 
 
@@ -22,14 +22,9 @@ class ClaimReport(_Record):
 
     __slots__ = ("claim", "teams", "passed", "details", "nodes_explored", "witness")
 
-    def __init__(self, claim: str, teams: int | None, passed: bool, details: str,
-                 nodes_explored: int | None = None, witness: Schedule | None = None):
-        _set_field(self, "claim", claim)
-        _set_field(self, "teams", teams)
-        _set_field(self, "passed", passed)
-        _set_field(self, "details", details)
-        _set_field(self, "nodes_explored", nodes_explored)
-        _set_field(self, "witness", witness)
+    def __new__(cls, claim: str, teams: int | None, passed: bool, details: str,
+                nodes_explored: int | None = None, witness: Schedule | None = None):
+        return cls._build(claim, teams, passed, details, nodes_explored, witness)
 
 
 def verify_claim(claim: str, teams: int | None = None) -> ClaimReport:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .model import Schedule, _check_count, _valid_schedule, round_structure
+from .model import Schedule, _check_count, _valid_schedule
 
 _DUMMY = 0
 
@@ -33,15 +33,16 @@ def circle_schedule(n: int) -> Schedule:
 
     For odd ``n`` a dummy occupies the fixed top-left seat with team n seated
     below it; the dummy's opponent sits out the round and the remaining
-    columns are read left to right as before.
+    columns are read left to right as before.  Every round has n // 2 games:
+    even ``n`` plays n - 1 rounds, odd ``n`` plays n.
     """
-    rounds = round_structure(n).r
+    _check_count("n", n, 2)
     if n % 2 == 0:
-        cols = n // 2
+        rounds, cols = n - 1, n // 2
         top = list(range(1, cols + 1))
         bottom = list(range(n, cols, -1))
     else:
-        cols = (n + 1) // 2
+        rounds, cols = n, (n + 1) // 2
         top = [_DUMMY] + list(range(1, cols))
         bottom = list(range(n, cols - 1, -1))
 
@@ -131,6 +132,6 @@ def duplicate_rounds(s: Schedule, factor: int) -> Schedule:
     _check_count("duplication factor", factor, 1)
     if s.multiplicity != 1:
         raise ValueError(f"can only duplicate a single round robin, got m={s.multiplicity}")
-    games, g = s.games, round_structure(s.team_count).g
+    games, g = s.games, s.team_count // 2
     return _valid_schedule(s.team_count, factor, tuple(chain.from_iterable(
         games[start:start + g] * factor for start in range(0, len(games), g))))

@@ -22,7 +22,7 @@ read a measure: each is a field of the :class:`MetricsReport` it returns.
 
 from __future__ import annotations
 
-from .model import Schedule, _Record, _set_field
+from .model import Schedule, _Record
 
 
 class MetricsReport(_Record):
@@ -42,17 +42,13 @@ class MetricsReport(_Record):
                  "games_played_difference_index", "rest_difference_index",
                  "rest_profiles", "always_longer_rest_teams")
 
-    def __init__(self, team_count: int, multiplicity: int,
-                 guaranteed_rest_time: int | None, games_played_difference_index: int,
-                 rest_difference_index: int, rest_profiles: dict[int, tuple[int, ...]],
-                 always_longer_rest_teams: frozenset[int]):
-        _set_field(self, "team_count", team_count)
-        _set_field(self, "multiplicity", multiplicity)
-        _set_field(self, "guaranteed_rest_time", guaranteed_rest_time)
-        _set_field(self, "games_played_difference_index", games_played_difference_index)
-        _set_field(self, "rest_difference_index", rest_difference_index)
-        _set_field(self, "rest_profiles", rest_profiles)
-        _set_field(self, "always_longer_rest_teams", always_longer_rest_teams)
+    def __new__(cls, team_count: int, multiplicity: int,
+                guaranteed_rest_time: int | None, games_played_difference_index: int,
+                rest_difference_index: int, rest_profiles: dict[int, tuple[int, ...]],
+                always_longer_rest_teams: frozenset[int]):
+        return cls._build(team_count, multiplicity, guaranteed_rest_time,
+                          games_played_difference_index, rest_difference_index, rest_profiles,
+                          always_longer_rest_teams)
 
 
 def evaluate(s: Schedule) -> MetricsReport:

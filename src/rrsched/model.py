@@ -1,10 +1,11 @@
-"""Core schedule model: games, round structure, validation, and I/O.
+"""Core schedule model: games, validation, immutable records, and I/O.
 
 An asynchronous round-robin schedule is a total order on games: game i is the
 i-th game played, and no two games overlap.  Teams are 1-based integers; a
 schedule for ``n`` teams with multiplicity ``m`` contains every unordered pair
 of distinct teams exactly ``m`` times.  Constructing a :class:`Schedule`
-checks this, so every Schedule is valid.
+checks this, so every Schedule is valid.  It and the package's other records
+are built once, in ``__new__``, and never change after.
 
 A game is a plain ``(a, b)`` tuple of ints in its stored orientation, which
 serialization keeps.  Validation counts ``(a, b)`` and ``(b, a)`` as the same
@@ -39,21 +40,31 @@ class ParseError(ValueError):
         self.line = line
 
 
-# Stores a field in a _Record's __init__, past its raising __setattr__.
+# Stores a field of a record being built, past its raising __setattr__.
 _set_field = object.__setattr__
 
 
 class _Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields, in order, in ``__slots__`` and stores each
-    in its ``__init__`` with ``_set_field``.  Equality (same class and field
-    values), hashing and ``repr`` follow the fields, and an instance pickles
-    as its class called with its field values.  Assigning or deleting an
-    attribute raises ``AttributeError``.
+    A subclass names its fields, in order, in ``__slots__``, checks its
+    arguments in ``__new__`` and returns ``cls._build(...)`` of the field
+    values (:class:`Schedule` returns :func:`_valid_schedule`'s).  No record
+    has an ``__init__``, so, as on a tuple, calling it again changes nothing.  Equality (same class and field values), hashing
+    and ``repr`` follow the fields, and an instance pickles as its class
+    called with its field values.  Assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _build(cls, *values):
+        """A new instance holding ``values`` in ``__slots__`` order."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set_field(record, name, value)
+        return record
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -97,7 +108,7 @@ class Schedule(_Record):
 
     __slots__ = ("team_count", "multiplicity", "games")
 
-    def __init__(self, team_count: int, multiplicity: int, games: Sequence[Sequence[int]]):
+    def __new__(cls, team_count: int, multiplicity: int, games: Sequence[Sequence[int]]):
         n, m = team_count, multiplicity
         _check_count("n", n, 2)
         _check_count("m", m, 1)
@@ -147,9 +158,7 @@ class Schedule(_Record):
             normalized.append(game if type(game) is tuple else (a, b))
 
         # Length and per-pair caps together force every pair to appear exactly m times.
-        _set_field(self, "team_count", n)
-        _set_field(self, "multiplicity", m)
-        _set_field(self, "games", tuple(normalized))
+        return _valid_schedule(n, m, tuple(normalized))
 
     def __len__(self) -> int:
         return len(self.games)
@@ -161,22 +170,13 @@ class Schedule(_Record):
 
 def _valid_schedule(n: int, m: int, games: tuple[tuple[int, int], ...]) -> Schedule:
     """A Schedule of plain-tuple games valid by construction; nothing is checked."""
+    # Three direct stores take about 0.6 times as long as _build's loop, and
+    # the search builds every schedule it emits here.
     s = object.__new__(Schedule)
     _set_field(s, "team_count", n)
     _set_field(s, "multiplicity", m)
     _set_field(s, "games", games)
     return s
-
-
-class RoundStructure(_Record):
-    """Derived per-``n`` quantities: g games per round over r rounds."""
-
-    __slots__ = ("n", "g", "r")
-
-    def __init__(self, n: int, g: int, r: int):
-        _set_field(self, "n", n)
-        _set_field(self, "g", g)
-        _set_field(self, "r", r)
 
 
 def _check_count(name: str, value: int, minimum: int) -> None:
@@ -192,26 +192,6 @@ def _check_count(name: str, value: int, minimum: int) -> None:
 def expected_length(n: int, m: int = 1) -> int:
     """Number of games in an m-fold round robin on n teams."""
     return m * n * (n - 1) // 2
-
-
-def round_structure(n: int) -> RoundStructure:
-    """Games-per-round and round count for ``n`` teams.
-
-    g = floor(n/2) and r = 2*ceil(n/2) - 1, so r*g = n(n-1)/2: rounds are
-    consecutive blocks of g games and a single round robin fills r of them.
-    The game at 1-based position i is in round (i - 1) // g + 1, counting
-    past r when m > 1.  ``n`` is a count of at least 2 (see
-    :func:`_check_count`).
-    """
-    _check_count("n", n, 2)
-    g = n // 2
-    r = 2 * ((n + 1) // 2) - 1
-    return RoundStructure(n=n, g=g, r=r)
-
-
-def make_schedule(n: int, m: int, games: Sequence[Sequence[int]]) -> Schedule:
-    """``Schedule(n, m, games)``: validate ``(a, b)`` games and return the Schedule."""
-    return Schedule(n, m, games)
 
 
 def serialize_schedule(s: Schedule) -> str:

@@ -66,7 +66,7 @@ from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .model import Schedule, _check_count, _Record, _set_field, _valid_schedule, expected_length
+from .model import Schedule, _check_count, _Record, _valid_schedule, expected_length
 
 DEFAULT_TEAM_CEILING = 8
 # Unconstrained runs range over every ordering of the n(n-1)/2 games, 15!
@@ -107,15 +107,13 @@ class SearchConstraints(_Record):
 
     __slots__ = ("min_rest", "max_gpd", "max_rdi")
 
-    def __init__(self, min_rest: int | None = None, max_gpd: int | None = None,
-                 max_rdi: int | None = None):
+    def __new__(cls, min_rest: int | None = None, max_gpd: int | None = None,
+                max_rdi: int | None = None):
         for name, value in (("min_rest", min_rest), ("max_gpd", max_gpd),
                             ("max_rdi", max_rdi)):
             if value is not None:
                 _check_count(name, value, 0)
-        _set_field(self, "min_rest", min_rest)
-        _set_field(self, "max_gpd", max_gpd)
-        _set_field(self, "max_rdi", max_rdi)
+        return cls._build(min_rest, max_gpd, max_rdi)
 
     @property
     def unconstrained(self) -> bool:
@@ -134,13 +132,9 @@ class SearchOutcome(_Record):
 
     __slots__ = ("mode", "nodes_explored", "found", "count", "schedules")
 
-    def __init__(self, mode: str, nodes_explored: int, found: Schedule | None = None,
-                 count: int | None = None, schedules: tuple[Schedule, ...] = ()):
-        _set_field(self, "mode", mode)
-        _set_field(self, "nodes_explored", nodes_explored)
-        _set_field(self, "found", found)
-        _set_field(self, "count", count)
-        _set_field(self, "schedules", schedules)
+    def __new__(cls, mode: str, nodes_explored: int, found: Schedule | None = None,
+                count: int | None = None, schedules: tuple[Schedule, ...] = ()):
+        return cls._build(mode, nodes_explored, found, count, schedules)
 
 
 class _Walked(NamedTuple):

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rrsched import Schedule, make_schedule
+from rrsched import Schedule
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -18,7 +18,7 @@ def random_schedule(rng: random.Random, n: int, m: int = 1) -> Schedule:
     games = all_pairs(n) * m
     rng.shuffle(games)
     games = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in games]
-    return make_schedule(n, m, games)
+    return Schedule(n, m, games)
 
 
 @pytest.fixture

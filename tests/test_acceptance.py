@@ -11,12 +11,12 @@ import random
 import time
 
 from rrsched import (
+    Schedule,
     SearchConstraints,
     canonicalize,
     circle_schedule,
     duplicate_rounds,
     evaluate,
-    make_schedule,
     odd_optimal_schedule,
     search,
 )
@@ -150,8 +150,8 @@ def test_criterion_07_five_team_max_rest_consequences(capsys):
 
 def test_criterion_08_six_team_reference_metrics(capsys):
     start = time.perf_counter()
-    ok = _triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)) == (1, 2, 1)
-    ok &= _triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == (0, 3, 1)
+    ok = _triple(Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)) == (1, 2, 1)
+    ok &= _triple(Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == (0, 3, 1)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _report(8, "six-team reference schedules measure (1, 2, 1) and (0, 3, 1)",
@@ -231,8 +231,8 @@ def test_criterion_10_oracle_equivalence(capsys):
 
 def test_criterion_11_seven_team_references_distinct(capsys):
     start = time.perf_counter()
-    first = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL))
-    second = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE))
+    first = canonicalize(Schedule(7, 1, SEVEN_TEAM_OPTIMAL))
+    second = canonicalize(Schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE))
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _report(11, "the two seven-team reference schedules are not relabelings "

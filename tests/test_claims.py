@@ -8,11 +8,11 @@ import pytest
 import rrsched.claims as claims
 from rrsched import (
     CLAIM_NAMES,
+    Schedule,
     SearchOutcome,
     circle_schedule,
     duplicate_rounds,
     evaluate,
-    make_schedule,
     odd_optimal_schedule,
     verify_claim,
 )
@@ -176,7 +176,7 @@ class TestFailingClaims:
     def test_max_rest_claim_reports_its_first_bad_schedule(self, monkeypatch):
         good = odd_optimal_schedule(5)
         bad = [circle_schedule(5),
-               make_schedule(5, 1, sorted(circle_schedule(5).games))]
+               Schedule(5, 1, sorted(circle_schedule(5).games))]
         assert [evaluate(s).rest_difference_index != 1 for s in (good, *bad)] == [
             False, True, True]
         monkeypatch.setattr(claims, "search", lambda n, constraints, mode: SearchOutcome(
@@ -208,7 +208,7 @@ class TestFailingClaims:
         def duplicate(s, factor):
             copy = duplicate_rounds(s, factor)
             if factor == 3:
-                return make_schedule(s.team_count, 3, sorted(copy.games))
+                return Schedule(s.team_count, 3, sorted(copy.games))
             return copy
 
         monkeypatch.setattr(claims, "duplicate_rounds", duplicate)

@@ -10,8 +10,8 @@ import pytest
 from rrsched import (
     CLAIM_NAMES,
     ClaimReport,
+    Schedule,
     load_schedule,
-    make_schedule,
     odd_optimal_schedule,
     schedule_from_json,
     serialize_schedule,
@@ -136,7 +136,7 @@ class TestEvaluate:
         assert code == 0
 
     def test_six_team_reference_schedule_table(self, capsys, monkeypatch):
-        text = serialize_schedule(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A))
+        text = serialize_schedule(Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A))
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         code, out, _ = run(capsys, "evaluate")
         assert code == 0
@@ -146,7 +146,7 @@ class TestEvaluate:
 
     def test_seven_team_alternate_reference_report(self, capsys, tmp_path):
         target = tmp_path / "alt.txt"
-        target.write_text(serialize_schedule(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE)))
+        target.write_text(serialize_schedule(Schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE)))
         code, out, _ = run(capsys, "evaluate", str(target), "--format", "structured")
         assert code == 0
         doc = json.loads(out)

@@ -8,10 +8,8 @@ from rrsched import (
     SearchConstraints,
     circle_schedule,
     duplicate_rounds,
-    make_schedule,
     odd_optimal_schedule,
     odd_slot_assignment,
-    round_structure,
     search,
     verify_claim,
 )
@@ -52,7 +50,7 @@ class TestCircleSchedule:
     def test_odd_byes_rotate_downward(self, n):
         # The team paired with the dummy sits out: n first, then n-1, n-2, ...
         s = circle_schedule(n)
-        g = round_structure(n).g
+        g = n // 2
         for round_no in range(1, n + 1):
             block = s.games[(round_no - 1) * g: round_no * g]
             playing = {t for game in block for t in game}
@@ -79,7 +77,7 @@ class TestCircleSchedule:
 
 
 def _slots_by_round(s):
-    g = round_structure(s.team_count).g
+    g = s.team_count // 2
     table: dict[int, dict[int, int]] = {}
     for index, (a, b) in enumerate(s.games, start=1):
         rnd = (index + g - 1) // g
@@ -172,7 +170,7 @@ class TestDuplicateRounds:
     def test_round_blocks_repeat(self, n, factor):
         base = circle_schedule(n)
         dup = duplicate_rounds(base, factor)
-        g = round_structure(n).g
+        g = n // 2
         assert len(dup) == factor * len(base)
         for block_no in range(len(base) // g):
             want = base.games[block_no * g:(block_no + 1) * g]
@@ -202,13 +200,13 @@ class TestDuplicateRounds:
     def test_rejects_invalid_hand_built_input(self, games, message, factor):
         with pytest.raises(ScheduleValidationError, match=message) as exc:
             duplicate_rounds(Schedule(3, 1, games), factor)
-        assert exc.traceback[-1].name == "__init__"
+        assert exc.traceback[-1].name == "__new__"
 
     def test_list_games_come_back_as_tuples(self):
         dup = duplicate_rounds(Schedule(3, 1, [[1, 2], [1, 3], [2, 3]]), 2)
         assert type(dup.games) is tuple
         assert all(type(game) is tuple for game in dup.games)
-        assert dup == duplicate_rounds(make_schedule(3, 1, [(1, 2), (1, 3), (2, 3)]), 2)
+        assert dup == duplicate_rounds(Schedule(3, 1, [(1, 2), (1, 3), (2, 3)]), 2)
 
 
 @pytest.mark.parametrize("build,match", [
@@ -228,9 +226,9 @@ def test_non_int_counts_are_rejected(build, match):
 # Every entry point that takes a count: (id, call with the count, the name
 # its message gives the count, the smallest count it accepts).
 _COUNTS = [
-    ("make_schedule-n", lambda v: make_schedule(v, 1, [(1, 2), (1, 3), (2, 3)]), "n", 2),
-    ("make_schedule-m", lambda v: make_schedule(3, v, [(1, 2), (1, 3), (2, 3)]), "m", 1),
-    ("round_structure", round_structure, "n", 2),
+    ("Schedule-n", lambda v: Schedule(v, 1, [(1, 2), (1, 3), (2, 3)]), "n", 2),
+    ("Schedule-m", lambda v: Schedule(3, v, [(1, 2), (1, 3), (2, 3)]), "m", 1),
+    ("circle_schedule", circle_schedule, "n", 2),
     ("odd_slot_assignment", odd_slot_assignment, "n", 3),
     ("duplicate_rounds", lambda v: duplicate_rounds(circle_schedule(4), v),
      "duplication factor", 1),
@@ -265,11 +263,11 @@ class TestGeneratedSchedulesValidate:
     @pytest.mark.parametrize("n", range(3, 16, 2))
     def test_odd_optimal_revalidates(self, n):
         s = odd_optimal_schedule(n)
-        rebuilt = make_schedule(n, 1, list(s.games))
+        rebuilt = Schedule(n, 1, list(s.games))
         assert rebuilt == s
 
-    # duplicate_rounds validates only its m = 1 input; each copy must pass
-    # the m-fold check as well.
+    # duplicate_rounds checks none of the copies it builds; each must pass
+    # the m-fold check.
     @pytest.mark.parametrize("factor", [1, 2, 3, 4])
     @pytest.mark.parametrize("build, sizes", [
         (circle_schedule, range(2, 25)),
@@ -278,4 +276,4 @@ class TestGeneratedSchedulesValidate:
     def test_duplicates_revalidate(self, build, sizes, factor):
         for n in sizes:
             d = duplicate_rounds(build(n), factor)
-            assert make_schedule(n, factor, d.games) == d
+            assert Schedule(n, factor, d.games) == d

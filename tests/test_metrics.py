@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsched import (
+    Schedule,
     circle_schedule,
     duplicate_rounds,
     evaluate,
-    make_schedule,
     odd_optimal_schedule,
     report_to_json,
 )
@@ -24,7 +24,7 @@ from oracle import (
 )
 from reference import SIX_TEAM_LOW_REST_DIFF_A, SIX_TEAM_LOW_REST_DIFF_B
 
-N3 = make_schedule(3, 1, [(1, 2), (1, 3), (2, 3)])
+N3 = Schedule(3, 1, [(1, 2), (1, 3), (2, 3)])
 
 
 def triple(s):
@@ -60,7 +60,7 @@ class TestGamesPlayedDifferenceIndex:
         assert evaluate(circle_schedule(11)).games_played_difference_index == 2
 
     def test_low_rest_diff_fixture_b(self):
-        s = make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)
+        s = Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)
         assert evaluate(s).games_played_difference_index == 3
 
     def test_single_game(self):
@@ -114,10 +114,10 @@ class TestEvaluate:
         assert triple(circle_schedule(6)) == (1, 1, 2)
 
     def test_low_rest_diff_fixture_a(self):
-        assert triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)) == (1, 2, 1)
+        assert triple(Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)) == (1, 2, 1)
 
     def test_low_rest_diff_fixture_b(self):
-        assert triple(make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == (0, 3, 1)
+        assert triple(Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B)) == (0, 3, 1)
 
     def test_rest_time_equals_min_of_profiles(self):
         report = evaluate(circle_schedule(9))
@@ -317,7 +317,7 @@ def schedule_and_permutation(draw):
     games = draw(st.permutations(all_pairs(n)))
     perm = draw(st.permutations(list(range(1, n + 1))))
     mapping = {t: p for t, p in zip(range(1, n + 1), perm)}
-    return make_schedule(n, 1, games), mapping
+    return Schedule(n, 1, games), mapping
 
 
 class TestProperties:
@@ -325,7 +325,7 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     def test_relabeling_invariance(self, case):
         s, mapping = case
-        relabeled = make_schedule(
+        relabeled = Schedule(
             s.team_count, 1, [(mapping[a], mapping[b]) for a, b in s.games])
         assert triple(relabeled) == triple(s)
         assert evaluate(relabeled).always_longer_rest_teams == {
@@ -372,7 +372,7 @@ class TestOracleAgreement:
         # follow in lexicographic order: p peaks at m(n - 2), as team 1 ends.
         others = [(a, b) for a, b in all_pairs(n) if a != 1]
         games = [(1, b) for b in range(2, n + 1)] * m + others * m
-        s = make_schedule(n, m, games)
+        s = Schedule(n, m, games)
         spread = evaluate(s).games_played_difference_index
         assert spread == brute_games_played_difference_index(s)
         assert spread == m * (n - 2)
@@ -388,7 +388,7 @@ class TestOracleAgreement:
                                                 zip(positions, positions[1:])]
 
     def test_oracle_agrees_on_fixture_values(self):
-        s = make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)
+        s = Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A)
         assert (brute_guaranteed_rest_time(s),
                 brute_games_played_difference_index(s),
                 brute_rest_difference_index(s)) == (1, 2, 1)

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,8 @@ from rrsched import (
     circle_schedule,
     duplicate_rounds,
     load_schedule,
-    make_schedule,
     odd_optimal_schedule,
     parse_schedule,
-    round_structure,
     schedule_from_json,
     schedule_to_json,
     search,
@@ -39,29 +38,29 @@ N3_GAMES = [(1, 2), (1, 3), (2, 3)]
 class TestTupleModel:
     def test_reversed_pair_counts_as_repeat(self):
         with pytest.raises(ScheduleValidationError) as exc:
-            make_schedule(3, 1, [(1, 2), (2, 1), (1, 3)])
+            Schedule(3, 1, [(1, 2), (2, 1), (1, 3)])
         assert exc.value.index == 2
         assert "(1, 2)" in str(exc.value)
 
     def test_self_pair_rejected_with_index(self):
         with pytest.raises(ScheduleValidationError, match=r"self-pair \(3, 3\)") as exc:
-            make_schedule(3, 1, [(1, 2), (1, 3), (3, 3)])
+            Schedule(3, 1, [(1, 2), (1, 3), (3, 3)])
         assert exc.value.index == 3
 
     def test_orientation_survives_construction_and_round_trips(self):
         games = [(2, 1), (1, 3), (3, 2)]
-        s = make_schedule(3, 1, games)
+        s = Schedule(3, 1, games)
         assert s.games == tuple(games)
         assert parse_schedule(serialize_schedule(s)).games == s.games
         assert schedule_from_json(schedule_to_json(s)).games == s.games
-        assert s != make_schedule(3, 1, N3_GAMES)  # equality is orientation-exact
+        assert s != Schedule(3, 1, N3_GAMES)  # equality is orientation-exact
 
     @given(st.integers(min_value=3, max_value=6), st.data())
     @settings(max_examples=50, deadline=None)
     def test_canonicalize_emits_ascending_pairs(self, n, data):
         games = data.draw(st.permutations(all_pairs(n)))
         flips = data.draw(st.lists(st.booleans(), min_size=len(games), max_size=len(games)))
-        s = make_schedule(n, 1, [(b, a) if flip else (a, b)
+        s = Schedule(n, 1, [(b, a) if flip else (a, b)
                                  for (a, b), flip in zip(games, flips)])
         once = canonicalize(s)
         assert all(a < b for a, b in once.games)
@@ -69,14 +68,16 @@ class TestTupleModel:
 
 
 class TestMakeSchedule:
+    """The round-robin checks of the Schedule constructor."""
+
     def test_smallest_odd_tournament(self):
-        s = make_schedule(3, 1, N3_GAMES)
+        s = Schedule(3, 1, N3_GAMES)
         assert len(s) == 3
         assert s.team_count == 3 and s.multiplicity == 1
 
     def test_duplicate_pair_rejected_with_index(self):
         with pytest.raises(ScheduleValidationError) as exc:
-            make_schedule(3, 1, [(1, 2), (1, 3), (1, 2)])
+            Schedule(3, 1, [(1, 2), (1, 3), (1, 2)])
         assert exc.value.index == 3
         assert str(exc.value) == "pair (1, 2) occurs more than 1 time(s) at game 3"
 
@@ -88,78 +89,78 @@ class TestMakeSchedule:
     ])
     def test_repeat_message_names_only_the_repeated_pair(self, m, games, idx):
         with pytest.raises(ScheduleValidationError) as exc:
-            make_schedule(3, m, games)
+            Schedule(3, m, games)
         assert exc.value.index == idx
         assert str(exc.value) == f"pair (1, 2) occurs more than {m} time(s) at game {idx}"
 
     def test_five_team_reference_schedule_valid(self):
-        s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
+        s = Schedule(5, 1, FIVE_TEAM_OPTIMAL)
         assert len(s) == 10
 
     def test_wrong_length(self):
         with pytest.raises(ScheduleValidationError, match="wrong number of games"):
-            make_schedule(3, 1, [(1, 2), (1, 3)])
+            Schedule(3, 1, [(1, 2), (1, 3)])
 
     def test_out_of_range_team(self):
         with pytest.raises(ScheduleValidationError) as exc:
-            make_schedule(3, 1, [(1, 2), (1, 4), (2, 3)])
+            Schedule(3, 1, [(1, 2), (1, 4), (2, 3)])
         assert exc.value.index == 2
 
     def test_self_pair_with_index(self):
         with pytest.raises(ScheduleValidationError) as exc:
-            make_schedule(3, 1, [(1, 2), (3, 3), (2, 3)])
+            Schedule(3, 1, [(1, 2), (3, 3), (2, 3)])
         assert exc.value.index == 2
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            make_schedule(1, 1, [(1, 2)])
+            Schedule(1, 1, [(1, 2)])
         with pytest.raises(ValueError):
-            make_schedule(3, 0, N3_GAMES)
+            Schedule(3, 0, N3_GAMES)
         with pytest.raises(ScheduleValidationError):
-            make_schedule(3, 1, [])
+            Schedule(3, 1, [])
 
     @pytest.mark.parametrize("game", [(True, 2), (1.0, 2), ("1", 2), None, (1, 2, 3)])
     def test_rejects_games_that_are_not_two_int_teams(self, game):
         with pytest.raises(ScheduleValidationError, match="pair of integer teams") as exc:
-            make_schedule(3, 1, [(1, 2), game, (2, 3)])
+            Schedule(3, 1, [(1, 2), game, (2, 3)])
         assert exc.value.index == 2
 
     @pytest.mark.parametrize("n, m", [(True, 1), (3.0, 1), ("3", 1), (3, True), (3, None)])
     def test_rejects_non_int_n_and_m(self, n, m):
         with pytest.raises(ValueError, match="must be an integer"):
-            make_schedule(n, m, N3_GAMES)
+            Schedule(n, m, N3_GAMES)
 
     def test_stores_games_as_tuples(self):
-        s = make_schedule(3, 1, [[a, b] for a, b in N3_GAMES])
+        s = Schedule(3, 1, [[a, b] for a, b in N3_GAMES])
         assert s.games == tuple(N3_GAMES)
         assert all(type(g) is tuple for g in s.games)
         # A tuple subclass and a list are rebuilt as plain tuples; a plain
         # tuple is stored as given.
         game = namedtuple("Game", "a b")
         mixed = [game(1, 2), [1, 3], (2, 3)]
-        s = make_schedule(3, 1, mixed)
+        s = Schedule(3, 1, mixed)
         assert s.games == tuple(N3_GAMES)
         assert all(type(g) is tuple for g in s.games)
         assert s.games[2] is mixed[2]
 
     def test_multiplicity_two(self):
-        s = make_schedule(3, 2, N3_GAMES + N3_GAMES)
+        s = Schedule(3, 2, N3_GAMES + N3_GAMES)
         assert len(s) == 6 and s.multiplicity == 2
 
 
 Game = namedtuple("Game", "a b")
 
-# Games as tuples, lists and namedtuples, and how make_schedule's "pair of
-# integer teams" message shows a pair of each.
+# Games as tuples, lists and namedtuples, and how the Schedule constructor's
+# "pair of integer teams" message shows a pair of each.
 _CONTAINERS = {
     "tuple": (lambda a, b: (a, b), "({!r}, {!r})"),
     "list": (lambda a, b: [a, b], "[{!r}, {!r}]"),
     "namedtuple": (Game, "Game(a={!r}, b={!r})"),
 }
 
-# Each rejection make_schedule pins to a game: (id, the game built by a
-# container's pair function, the message with {idx} for its game number, or
-# None for the "pair of integer teams" message of that pair).
+# Each rejection the Schedule constructor pins to a game: (id, the game built
+# by a container's pair function, the message with {idx} for its game number,
+# or None for the "pair of integer teams" message of that pair).
 # FIVE_TEAM_OPTIMAL opens with (1, 2), so (2, 1) after it repeats it reversed.
 _GAME_FAULTS = [
     ("bare-int", lambda pair: 12, "game {idx} must be a pair of integer teams, got 12"),
@@ -199,10 +200,9 @@ class TestMakeScheduleErrors:
             message = "game {idx} must be a pair of integer teams, got " + shown.format(*game)
         games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
         games[idx - 1] = game
-        for build_schedule in (make_schedule, Schedule):
-            with pytest.raises(ScheduleValidationError) as exc:
-                build_schedule(5, 1, games)
-            assert (str(exc.value), exc.value.index) == (message.format(idx=idx), idx)
+        with pytest.raises(ScheduleValidationError) as exc:
+            Schedule(5, 1, games)
+        assert (str(exc.value), exc.value.index) == (message.format(idx=idx), idx)
 
     @pytest.mark.parametrize("container", _CONTAINERS)
     def test_reversed_repeat_past_the_multiplicity(self, container):
@@ -210,26 +210,25 @@ class TestMakeScheduleErrors:
         games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
         games += [pair(b, a) for a, b in FIVE_TEAM_OPTIMAL]
         games[-1] = pair(2, 1)  # a third (1, 2), after (1, 2) and (2, 1)
-        for build_schedule in (make_schedule, Schedule):
-            with pytest.raises(ScheduleValidationError) as exc:
-                build_schedule(5, 2, games)
-            assert (str(exc.value), exc.value.index) == (
-                "pair (1, 2) occurs more than 2 time(s) at game 20", 20)
+        with pytest.raises(ScheduleValidationError) as exc:
+            Schedule(5, 2, games)
+        assert (str(exc.value), exc.value.index) == (
+            "pair (1, 2) occurs more than 2 time(s) at game 20", 20)
 
     @pytest.mark.parametrize("container", _CONTAINERS)
     def test_valid_games_give_equal_schedules_of_plain_tuples(self, container):
         pair, _ = _CONTAINERS[container]
         games = [pair(a, b) for a, b in FIVE_TEAM_OPTIMAL]
-        built = make_schedule(5, 1, games)
-        assert built == Schedule(5, 1, games) == Schedule(5, 1, tuple(FIVE_TEAM_OPTIMAL))
+        built = Schedule(5, 1, games)
+        assert built == Schedule(5, 1, tuple(FIVE_TEAM_OPTIMAL))
         assert all(type(game) is tuple for game in built.games)
 
 
 def _refuse_construction(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("Schedule.__init__ called")
+        raise AssertionError("Schedule.__new__ called")
 
-    monkeypatch.setattr(Schedule, "__init__", refuse)
+    monkeypatch.setattr(Schedule, "__new__", refuse)
 
 
 class TestValidByConstruction:
@@ -252,17 +251,19 @@ class TestValidByConstruction:
         assert want.found is not None or len(want.schedules) == 8
 
     def test_canonicalize_relabels_without_a_check(self, monkeypatch):
-        s = make_schedule(5, 1, [(b, a) for a, b in reversed(FIVE_TEAM_OPTIMAL)])
+        s = Schedule(5, 1, [(b, a) for a, b in reversed(FIVE_TEAM_OPTIMAL)])
         want = canonicalize(s)
         _refuse_construction(monkeypatch)
         assert canonicalize(s) == want
 
     def test_refused_constructor_stops_the_checked_paths(self, monkeypatch):
+        pickled = pickle.dumps(Schedule(3, 1, N3_GAMES))
         _refuse_construction(monkeypatch)
-        for build in (lambda: make_schedule(3, 1, N3_GAMES), lambda: circle_schedule(4),
-                      lambda: parse_schedule("n 2\n1 2\n"),
-                      lambda: schedule_from_json('{"n": 2, "games": [[1, 2]]}')):
-            with pytest.raises(AssertionError, match="Schedule.__init__ called"):
+        for build in (lambda: Schedule(3, 1, N3_GAMES), lambda: circle_schedule(4),
+                      lambda: odd_optimal_schedule(5), lambda: parse_schedule("n 2\n1 2\n"),
+                      lambda: schedule_from_json('{"n": 2, "games": [[1, 2]]}'),
+                      lambda: pickle.loads(pickled)):
+            with pytest.raises(AssertionError, match="Schedule.__new__ called"):
                 build()
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -274,38 +275,35 @@ class TestValidByConstruction:
         with pytest.raises(ScheduleValidationError,
                            match=r"pair \(1, 2\) occurs more than 1 time\(s\) at game 2"):
             pickle.loads(pickle.dumps(Forged(), protocol))
-        s = make_schedule(3, 1, N3_GAMES)
+        s = Schedule(3, 1, N3_GAMES)
         assert pickle.loads(pickle.dumps(s, protocol)) == s
 
 
 class TestRoundStructure:
+    """A single round robin is r consecutive rounds of g = n // 2 games in
+    which no team plays twice: r = n - 1 for even n and n for odd n, so
+    r * g = n(n-1)/2.  The circle method plays them."""
+
     @pytest.mark.parametrize("n,g,r", [(10, 5, 9), (11, 5, 11), (2, 1, 1), (3, 1, 3), (4, 2, 3)])
     def test_examples(self, n, g, r):
-        rs = round_structure(n)
-        assert (rs.g, rs.r) == (g, r)
+        games = circle_schedule(n).games
+        rounds = [games[k:k + g] for k in range(0, len(games), g)]
+        assert len(rounds) == r
+        assert all(len(set(chain.from_iterable(block))) == 2 * g for block in rounds)
 
     def test_identity_over_range(self):
         for n in range(2, 65):
-            rs = round_structure(n)
-            assert rs.r * rs.g == n * (n - 1) // 2
-
-    def test_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            round_structure(1)
-
-    @pytest.mark.parametrize("n", [5.0, True])
-    def test_rejects_non_int(self, n):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            round_structure(n)
+            r = n - 1 if n % 2 == 0 else n
+            assert len(circle_schedule(n)) == r * (n // 2) == n * (n - 1) // 2
 
 
 class TestTextFormat:
     def test_parse_minimal(self):
         s = parse_schedule("n 3\n1 2\n1 3\n2 3\n")
-        assert s == make_schedule(3, 1, N3_GAMES)
+        assert s == Schedule(3, 1, N3_GAMES)
 
     def test_serialize_five_team_reference(self):
-        s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
+        s = Schedule(5, 1, FIVE_TEAM_OPTIMAL)
         assert serialize_schedule(s) == (
             "n 5\n1 2\n3 4\n1 5\n2 3\n4 5\n1 3\n2 4\n3 5\n1 4\n2 5\n"
         )
@@ -441,7 +439,7 @@ class TestTextFormat:
 
     def test_whitespace_tolerant_game_lines(self):
         s = parse_schedule("n 3\n 1  2 \n1 3\n2 3\n")
-        assert s == make_schedule(3, 1, N3_GAMES)
+        assert s == Schedule(3, 1, N3_GAMES)
 
     @pytest.mark.parametrize("data", [
         "\ufeffn 3\n1 2\n1 3\n2 3\n",
@@ -449,7 +447,7 @@ class TestTextFormat:
     ])
     def test_leading_byte_order_mark_is_dropped(self, data):
         for parse in (parse_schedule, load_schedule):
-            assert parse(data) == make_schedule(3, 1, N3_GAMES)
+            assert parse(data) == Schedule(3, 1, N3_GAMES)
 
     def test_only_one_byte_order_mark_is_dropped(self):
         for parse in (parse_schedule, load_schedule):
@@ -478,7 +476,7 @@ class TestTextFormat:
 
     def test_commented_body_is_read_in_one_pass(self, monkeypatch):
         s = duplicate_rounds(circle_schedule(8), 2)
-        g = round_structure(8).g
+        g = 4  # games per round
         header, games = ["n 8", "m 2"], serialize_schedule(s).splitlines()[2:]
         lines = header[:]
         for k in range(0, len(games), g):
@@ -556,7 +554,7 @@ class TestPlantedFaults:
     def _text(n, header, body, layout):
         """The text of ``body`` in ``layout``, and the line of each game."""
         before, newline, final, middle, rounds = layout
-        g = round_structure(n).g
+        g = n // 2
         lines = before + header
         game_lines = []
         for i, game in enumerate(body):
@@ -607,11 +605,11 @@ _GAMES_NOT_AN_ARRAY = [
 
 class TestStructuredFormat:
     def test_round_trip(self):
-        s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
+        s = Schedule(5, 1, FIVE_TEAM_OPTIMAL)
         assert schedule_from_json(schedule_to_json(s)) == s
 
     def test_bytes_are_pinned(self):
-        s = make_schedule(3, 2, [(2, 1), (1, 3), (3, 2), (1, 2), (3, 1), (2, 3)])
+        s = Schedule(3, 2, [(2, 1), (1, 3), (3, 2), (1, 2), (3, 1), (2, 3)])
         assert schedule_to_json(s) == (
             '{"n": 3, "m": 2, "games": [[2, 1], [1, 3], [3, 2], [1, 2], [3, 1], [2, 3]]}\n')
         assert schedule_to_json(s, indent=2) == """\
@@ -680,14 +678,14 @@ class TestStructuredFormat:
             schedule_from_json('{"n": ' + "[" * depth + "]" * depth + "}")
 
     def test_leading_byte_order_mark_is_dropped(self):
-        s = make_schedule(3, 1, N3_GAMES)
+        s = Schedule(3, 1, N3_GAMES)
         text = "\ufeff" + schedule_to_json(s)
         for parse in (schedule_from_json, load_schedule):
             assert parse(text) == s
             assert parse(text.encode()) == s
 
     def test_load_schedule_sniffs_format(self):
-        s = make_schedule(3, 1, N3_GAMES)
+        s = Schedule(3, 1, N3_GAMES)
         assert load_schedule(schedule_to_json(s)) == s
         assert load_schedule(serialize_schedule(s)) == s
         assert load_schedule("  " + schedule_to_json(s)) == s
@@ -710,7 +708,7 @@ def schedules(draw):
     games = draw(st.permutations(all_pairs(n) * m))
     flips = draw(st.lists(st.booleans(), min_size=len(games), max_size=len(games)))
     oriented = [(b, a) if flip else (a, b) for (a, b), flip in zip(games, flips)]
-    return make_schedule(n, m, oriented)
+    return Schedule(n, m, oriented)
 
 
 class TestProperties:
@@ -736,12 +734,12 @@ class TestProperties:
 
 def _line_rules(text, n, m, first):
     """What parse_schedule must give for ``text``, whose body opens at line
-    ``first``: _game_rows reads the body, make_schedule validates the games
-    and a validation error names the line of its game."""
+    ``first``: _game_rows reads the body, the Schedule constructor validates
+    the games and a validation error names the line of its game."""
     body = model._lines(model._decode(text))[first - 1:]
     rows = list(model._game_rows(body, first))
     try:
-        return make_schedule(n, m, [game for _, game in rows])
+        return Schedule(n, m, [game for _, game in rows])
     except ScheduleValidationError as exc:
         if exc.index is None:
             raise ParseError(str(exc)) from exc

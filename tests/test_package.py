@@ -1,13 +1,20 @@
 """The package loads its modules on first use, and each command only the
-modules it runs."""
+modules it runs.  The README's Library example and its list of removed
+names hold, and every module uses each name it imports."""
 
 import ast
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import rrsched
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rrsched"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_star_import_and_dir_cover_all():
@@ -80,3 +87,47 @@ def test_each_command_imports_only_what_it_runs(tmp_path, args, runs, absent):
     loaded = set(ast.literal_eval(proc.stdout.rsplit("\n", 1)[1])) - before
     assert runs in loaded
     assert not loaded & (absent | _NEVER)
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    block = re.search(r"^```python\n(.*?)^```", README, re.M | re.S).group(1)
+    lines = block.splitlines()
+    namespace, checked = {}, 0
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        _, hash_, comment = lines[node.end_lineno - 1].partition("#")
+        if isinstance(node, ast.Expr) and hash_:
+            # "expr  # value" or "expr  # value: remark"
+            want = ast.literal_eval(comment.split(":", 1)[0].strip())
+            assert eval(code, namespace) == want, code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 3
+
+
+def test_no_removed_name_is_an_attribute():
+    section = README.split("Removed names and what replaces them:", 1)[1]
+    items = re.findall(r"^- (.*?) →", section.split("\n\n#", 1)[0], re.M | re.S)
+    removed = {name for item in items for name in re.findall(r"`([A-Za-z_]\w*)", item)}
+    assert {"round_of", "slot_of", "report_from_json", "make_schedule",
+            "round_structure", "RoundStructure"} <= removed
+    assert not {name for name in removed if hasattr(rrsched, name)}
+    assert not removed & set(rrsched.__all__)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(_imported_names(tree)) - used) == []

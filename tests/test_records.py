@@ -1,4 +1,4 @@
-"""The six record classes: construction, equality, hashing, repr, immutability
+"""The five record classes: construction, equality, hashing, repr, immutability
 and pickling, as frozen dataclasses gave them."""
 
 import copy
@@ -9,7 +9,6 @@ import pytest
 from rrsched import (
     ClaimReport,
     MetricsReport,
-    RoundStructure,
     Schedule,
     SearchConstraints,
     SearchOutcome,
@@ -23,7 +22,6 @@ SCHEDULE = Schedule(3, 1, GAMES)
 CASES = [
     (Schedule, ("team_count", "multiplicity", "games"), (3, 1, GAMES),
      "Schedule(team_count=3, multiplicity=1, games=((1, 2), (1, 3), (2, 3)))"),
-    (RoundStructure, ("n", "g", "r"), (5, 2, 5), "RoundStructure(n=5, g=2, r=5)"),
     (MetricsReport,
      ("team_count", "multiplicity", "guaranteed_rest_time",
       "games_played_difference_index", "rest_difference_index", "rest_profiles",
@@ -46,6 +44,16 @@ CASES = [
 IDS = [case[0].__name__ for case in CASES]
 
 
+def _others(cls, values):
+    """Field values of records of ``cls`` that differ from ``values``."""
+    if cls is Schedule:
+        # A Schedule is valid by construction, so each of these differs from
+        # SCHEDULE in one field and as much else as validity needs.
+        return [(2, 1, ((1, 2),)), (3, 2, GAMES * 2), (3, 1, GAMES[::-1])]
+    return [(*values[:i], value + 1 if type(value) is int else 0 if value is None else None,
+             *values[i + 1:]) for i, value in enumerate(values)]
+
+
 @pytest.mark.parametrize("cls,names,values,text", CASES, ids=IDS)
 class TestRecord:
     def test_positional_and_keyword_construction(self, cls, names, values, text):
@@ -61,17 +69,8 @@ class TestRecord:
         record = cls(*values)
         assert record == cls(*values) and not record != cls(*values)
         assert record != values
-        if cls is Schedule:
-            # A Schedule is valid by construction, so each of these differs
-            # from SCHEDULE in one field and as much else as validity needs.
-            others = [Schedule(2, 1, ((1, 2),)), Schedule(3, 2, GAMES * 2),
-                      Schedule(3, 1, GAMES[::-1])]
-        else:
-            others = [cls(*values[:i], value + 1 if type(value) is int
-                          else 0 if value is None else None, *values[i + 1:])
-                      for i, value in enumerate(values)]
-        for other in others:
-            assert record != other
+        for other in _others(cls, values):
+            assert record != cls(*other)
 
     def test_hash_is_the_hash_of_the_fields(self, cls, names, values, text):
         record = cls(*values)
@@ -92,6 +91,14 @@ class TestRecord:
             record.extra = 0
         assert tuple(getattr(record, name) for name in names) == values
 
+    def test_init_again_changes_nothing(self, cls, names, values, text):
+        # A record is built once, in __new__, as a tuple is.
+        record = cls(*values)
+        for other in _others(cls, values):
+            record.__init__(*other)
+            record.__init__(**dict(zip(names, other)))
+        assert tuple(getattr(record, name) for name in names) == values
+
     def test_pickle_and_copy_round_trip(self, cls, names, values, text):
         record = cls(*values)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -101,7 +108,19 @@ class TestRecord:
 
 
 def test_different_classes_with_equal_fields_differ():
-    assert RoundStructure(1, 2, 3) != SearchConstraints(1, 2, 3)
+    class Bounds(SearchConstraints):
+        __slots__ = ()
+
+    assert Bounds(1, 2, 3) != SearchConstraints(1, 2, 3)
+    assert Bounds(1, 2, 3) == Bounds(1, 2, 3)
+
+
+def test_a_schedule_stays_found_as_a_dict_key_after_init_again():
+    s = Schedule(3, 1, GAMES)
+    table = {s: 1}
+    s.__init__(2, 1, ((1, 2),))
+    assert s in table and table[s] == 1
+    assert s == Schedule(3, 1, GAMES)
 
 
 def test_defaults():

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsched import (
+    Schedule,
     SearchConstraints,
     canonicalize,
     evaluate,
-    make_schedule,
     search,
 )
 from rrsched.fixtures import FIVE_TEAM_OPTIMAL, SEVEN_TEAM_OPTIMAL
@@ -88,12 +88,12 @@ class TestExistenceResults:
 
     def test_five_team_reference_is_enumerated(self):
         outcome = search(5, SearchConstraints(min_rest=1), mode="enumerate")
-        assert make_schedule(5, 1, FIVE_TEAM_OPTIMAL) in outcome.schedules
+        assert Schedule(5, 1, FIVE_TEAM_OPTIMAL) in outcome.schedules
 
     def test_seven_team_references_are_enumerated(self):
         outcome = search(7, SearchConstraints(min_rest=2), mode="enumerate")
-        assert make_schedule(7, 1, SEVEN_TEAM_OPTIMAL) in outcome.schedules
-        assert make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE) in outcome.schedules
+        assert Schedule(7, 1, SEVEN_TEAM_OPTIMAL) in outcome.schedules
+        assert Schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE) in outcome.schedules
 
     def test_six_team_unit_rest_difference_enumeration(self):
         # All canonical six-team schedules with rest difference 1, including
@@ -102,8 +102,8 @@ class TestExistenceResults:
         # impossibility result).
         outcome = search(6, SearchConstraints(max_rdi=1), mode="enumerate")
         schedules = outcome.schedules
-        assert make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A) in schedules
-        assert make_schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B) in schedules
+        assert Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_A) in schedules
+        assert Schedule(6, 1, SIX_TEAM_LOW_REST_DIFF_B) in schedules
         for s in schedules:
             report = evaluate(s)
             assert not (report.guaranteed_rest_time >= 1
@@ -136,7 +136,7 @@ class TestEmittedSchedules:
     def test_all_emitted_are_valid_schedules(self):
         outcome = search(4, SearchConstraints(max_rdi=2), mode="enumerate")
         for s in outcome.schedules:
-            rebuilt = make_schedule(s.team_count, 1, list(s.games))
+            rebuilt = Schedule(s.team_count, 1, list(s.games))
             assert rebuilt == s
 
     def test_first_labels_appear_in_order_under_symmetry_breaking(self):
@@ -231,7 +231,7 @@ class TestExactCounts:
     def test_walk_deeper_than_the_recursion_limit(self):
         outcome = search(46, SearchConstraints(), "first", allow_large=True)
         assert outcome.nodes_explored == 1035
-        assert make_schedule(46, 1, outcome.found.games) == outcome.found
+        assert Schedule(46, 1, outcome.found.games) == outcome.found
 
     # The odd max-rest counts, 2^(k+1) canonical labelings: the walk reuses
     # most of these trees, and the node counts are those of a full walk.
@@ -422,7 +422,7 @@ class TestOracleCounts:
         return [
             (brute_guaranteed_rest_time(s), brute_games_played_difference_index(s),
              brute_rest_difference_index(s))
-            for s in (make_schedule(4, 1, games)
+            for s in (Schedule(4, 1, games)
                       for games in itertools.permutations(all_pairs(4)))
         ]
 
@@ -926,24 +926,24 @@ class TestArgumentValidation:
 
 class TestCanonicalize:
     def test_already_canonical_unchanged(self):
-        s = make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
+        s = Schedule(5, 1, FIVE_TEAM_OPTIMAL)
         assert canonicalize(s) == s
 
     def test_relabeling_inverse(self):
-        swapped = make_schedule(5, 1, [
+        swapped = Schedule(5, 1, [
             (5 if a == 1 else 1 if a == 5 else a, 5 if b == 1 else 1 if b == 5 else b)
             for a, b in FIVE_TEAM_OPTIMAL])
-        assert canonicalize(swapped) == make_schedule(5, 1, FIVE_TEAM_OPTIMAL)
+        assert canonicalize(swapped) == Schedule(5, 1, FIVE_TEAM_OPTIMAL)
 
     def test_seven_team_references_are_distinct(self):
-        first = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL))
-        second = canonicalize(make_schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE))
+        first = canonicalize(Schedule(7, 1, SEVEN_TEAM_OPTIMAL))
+        second = canonicalize(Schedule(7, 1, SEVEN_TEAM_OPTIMAL_ALTERNATE))
         assert first != second
 
     @given(st.integers(min_value=3, max_value=6), st.data())
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, n, data):
         games = data.draw(st.permutations(all_pairs(n)))
-        s = make_schedule(n, 1, games)
+        s = Schedule(n, 1, games)
         once = canonicalize(s)
         assert canonicalize(once) == once
