@@ -103,9 +103,10 @@ def odd_optimal_schedule(n: int) -> Schedule:
     Round j contributes its games in slot order 1..k; each game is the pair
     of teams sharing that slot, emitted with the lower team first.
     """
+    rows = odd_slot_assignment(n)  # checks n before k is computed from it
     k = (n - 1) // 2
     games: list[tuple[int, int]] = []
-    for row in odd_slot_assignment(n):
+    for row in rows:
         by_slot: dict[int, list[int]] = {}
         for team, slot in enumerate(row, start=1):
             by_slot.setdefault(slot, []).append(team)

@@ -50,9 +50,10 @@ class _Record:
     A subclass names its fields, in order, in ``__slots__``, checks its
     arguments in ``__new__`` and returns ``cls._build(...)`` of the field
     values (:class:`Schedule` returns :func:`_valid_schedule`'s).  No record
-    has an ``__init__``, so, as on a tuple, calling it again changes nothing.  Equality (same class and field values), hashing
-    and ``repr`` follow the fields, and an instance pickles as its class
-    called with its field values.  Assigning or deleting an attribute raises
+    has an ``__init__``, so, as on a tuple, calling it again changes
+    nothing.  Equality (same class and field values), hashing and ``repr``
+    follow the fields, and an instance pickles as its class called with its
+    field values.  Assigning or deleting an attribute raises
     ``AttributeError``.
     """
 

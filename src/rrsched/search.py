@@ -30,6 +30,9 @@ the walk adds those counts instead of walking it.  Where the schedules
 themselves are kept, it reuses a sibling that found schedules only in a
 walk without a state table (below): it relabels the sibling's schedules by
 the twin swaps and sorts them, which gives the image's own walk order.
+Each sibling leaves one record of its counts, where its schedules begin
+and the tasks it left past the budget (below), and the image picks one of
+these reuses, or walks, where it reads the record.
 ``nodes_explored`` therefore counts every node of the pruned tree, the
 nodes of reused subtrees included, exactly as a walk without reuse would.
 
@@ -161,11 +164,14 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     when ``keep`` is true, and the walk stops at the ``quota``-th.
 
     A candidate that an earlier sibling maps to by swapping twins (see
-    ``twins`` below) has a subtree with the same schedule and node counts,
-    so the walk adds the sibling's counts instead of walking it: in count
-    mode always; when ``keep`` is true, if the sibling found no schedule,
-    and in a walk without a table also if it did, by relabeling its
-    schedules, unless the quota would fall inside the image.
+    ``twins`` below) has a subtree with the same schedule and node counts.
+    Every sibling, walked, served by the table or listed as a task, leaves
+    one record, ``(found, nodes, start, *tasks)`` (see ``reusable``), and
+    the image picks its reuse where it reads the record: past the budget it
+    lists the sibling's counts and tasks; in count mode, or if the sibling
+    found no schedule, it adds the counts; in a walk without a table,
+    unless the quota would fall inside the image, it relabels the sibling's
+    schedules; otherwise it walks the image.
     A walk that is ``tabled`` also adds the counts of an earlier node with
     the same state (see ``table`` below), and when ``keep`` is true copies
     that subtree's schedules after its own games; it walks the subtree
@@ -174,11 +180,10 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     Once ``budget`` nodes are walked (reused ones do not count) the walk
     places no more games: it appends each later candidate that passes every
     test to ``tasks``, in walk order, as the tuple of games that ends with
-    it, or, for a twin image of a sibling walked in full, as a ``_Walked``
-    of that sibling's counts.  Only a count or a "first" run without a
-    table has a budget, so a sibling whose subtree left tasks found no
-    schedule it keeps, and its image lists the sibling's walked counts and
-    the same task objects again.
+    it; a twin image appends a ``_Walked`` of the sibling's walked counts,
+    if it walked any, and the same task objects the sibling left.  Only a
+    count or a "first" run without a table has a budget, so a sibling
+    whose subtree left tasks found no schedule it keeps.
     """
     n, constraints, symmetry, keep, quota, tabled = walk
     if tasks is None:
@@ -247,11 +252,11 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
     #   a pair may introduce cap, or cap and cap + 1, but no higher label.
     cap = 1 if symmetry else n + 1
     low = high = 0  # the fewest and most games played by any team so far
-    # orbit key -> (found, nodes, *tasks) of an earlier twin sibling: the
-    # counts it walked here and the tasks it left; or, for a sibling that
-    # found schedules in a keep-mode walk without a table, (found, nodes,
-    # start, pair), its schedules being emissions[start:start + found];
-    # made at the first key
+    # orbit key -> (found, nodes, start, *tasks) of an earlier twin sibling:
+    # its counts, its own node included; ``start``, the ``found`` before it,
+    # so that in keep mode its schedules are emissions[start:start + found];
+    # and the tasks it left past the budget.  A sibling that is a task holds
+    # (0, 0, 0, task).  Made at the first key.
     reusable = None
     state = next_state = 0  # the table's keys here and after the candidate
     # The prefix game is the last unused pair at its level.
@@ -299,42 +304,39 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                         reusable = {}
                     twin = reusable.get(key)
                     if twin is not None:
-                        # Counts, and tasks to list where the budget is
-                        # spent.  In keep mode a sibling that found
-                        # schedules left a 4-tuple and no task.
-                        if not keep or not twin[0]:
-                            if nodes != spent:
-                                found += twin[0]
-                                nodes += twin[1]
-                                spent += twin[1]
-                            else:
-                                if twin[1]:
-                                    tasks.append(_Walked((), twin[0], twin[1]))
-                                tasks.extend(twin[2:])
+                        # Past the budget the image lists the sibling's
+                        # counts and the tasks it left.
+                        if nodes == spent:
+                            if twin[1]:
+                                tasks.append(_Walked((), twin[0], twin[1]))
+                            tasks.extend(twin[3:])
                             continue
-                        # The sibling found schedules.  Where the quota falls
-                        # inside this image, the image is walked instead.
-                        if quota is None or found + twin[0] < quota:
+                        if not keep or not twin[0]:
+                            found += twin[0]
+                            nodes += twin[1]
+                            spent += twin[1]
+                            continue
+                        # The sibling found schedules.  Where a table serves
+                        # the image's states, or the quota falls inside the
+                        # image, the image is walked instead.
+                        if table is None and (quota is None or found + twin[0] < quota):
                             # sigma swaps each team of this pair that is not in
                             # the sibling's with its mate, so it maps the
                             # sibling's subtree onto this one.  The walk emits
                             # the schedules below a node in ascending order of
                             # their games, so sorting the relabeled suffixes
                             # gives this subtree's own order.
-                            start, sibling = twin[2:]
+                            start = twin[2]
+                            sibling = emissions[start][depth - 1]
                             sigma = list(range(n + 1))
-                            if a not in sibling:
-                                sigma[a] = mate_a
-                                sigma[mate_a] = a
-                            if b not in sibling:
-                                sigma[b] = mate_b
-                                sigma[mate_b] = b
+                            for team, mate in (a, mate_a), (b, mate_b):
+                                if team not in sibling:
+                                    sigma[team], sigma[mate] = mate, team
                             images = []
                             for e in emissions[start:start + twin[0]]:
                                 image = []
                                 for x, y in e[depth:]:
-                                    x = sigma[x]
-                                    y = sigma[y]
+                                    x, y = sigma[x], sigma[y]
                                     image.append((x, y) if x < y else (y, x))
                                 images.append(tuple(image))
                             images.sort()
@@ -347,7 +349,7 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 task = (*games, pair)
                 tasks.append(task)
                 if key:
-                    reusable[key] = (0, 0, task)
+                    reusable[key] = (0, 0, 0, task)
                 continue
             nodes += 1
             if depth == total:
@@ -383,12 +385,10 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                         start = below[2]
                         emissions.extend([head + e[depth:]
                                           for e in emissions[start:start + below[0]]])
-                    # A twin image takes the counts, in keep mode only of a
-                    # subtree that found no schedule.
+                    if key:
+                        reusable[key] = (below[0], below[1] + 1, found)
                     found += below[0]
                     nodes += below[1]
-                    if key and not (keep and below[0]):
-                        reusable[key] = (below[0], below[1] + 1)
                     continue
             # What this level goes on with, what undoes the game, and the
             # counts (this node's included) and tasks before its subtree.
@@ -434,17 +434,8 @@ def _walk(walk, prefix: tuple[tuple[int, int], ...], budget: int | None = None,
                 table[walked] = ((found - found_before, nodes - nodes_before, found_before)
                                  if keep else (found - found_before, nodes - nodes_before))
             if key:
-                if nodes != spent:
-                    if found == found_before or not keep:
-                        reusable[key] = (found - found_before, nodes - nodes_before + 1)
-                    elif table is None:
-                        # The subtree's schedules start at ``found_before`` in
-                        # ``emissions``; an image relabels them.
-                        reusable[key] = (found - found_before, nodes - nodes_before + 1,
-                                         found_before, games[-1])
-                else:
-                    reusable[key] = (found - found_before, nodes - nodes_before + 1,
-                                     *tasks[tasks_before:])
+                reusable[key] = (found - found_before, nodes - nodes_before + 1,
+                                 found_before, *tasks[tasks_before:])
             a, b = games.pop()
             played[a] = played_a
             played[b] = played_b
@@ -516,6 +507,14 @@ def search(n: int, constraints: SearchConstraints | None = None, mode: str = "fi
     merged whole, in walk order, and the workers end when the merge stops.
     Every other run walks in this process alone: a pool shares neither the
     table nor the schedules a walk has emitted, and it made those runs slower.
+
+    A script that calls ``search`` with ``jobs > 1`` needs the call under
+    ``if __name__ == "__main__":``.  Under the ``spawn`` and ``forkserver``
+    start methods (the default on macOS, and on Linux from Python 3.14)
+    each worker imports the script again and fails in its bootstrapping
+    phase, and the pool replaces the dead workers without end, so the run
+    never returns.  Under ``fork`` a worker that dies, killed for memory
+    say, leaves the run waiting for its result forever.
     """
     constraints = constraints if constraints is not None else SearchConstraints()
     _validate_search_args(n, constraints, mode, limit, jobs, allow_large)

@@ -230,6 +230,7 @@ _COUNTS = [
     ("Schedule-m", lambda v: Schedule(3, v, [(1, 2), (1, 3), (2, 3)]), "m", 1),
     ("circle_schedule", circle_schedule, "n", 2),
     ("odd_slot_assignment", odd_slot_assignment, "n", 3),
+    ("odd_optimal_schedule", odd_optimal_schedule, "n", 3),
     ("duplicate_rounds", lambda v: duplicate_rounds(circle_schedule(4), v),
      "duplication factor", 1),
     *((f"SearchConstraints-{bound}", lambda v, bound=bound: SearchConstraints(**{bound: v}),

@@ -1,6 +1,7 @@
 """The package loads its modules on first use, and each command only the
 modules it runs.  The README's Library example and its list of removed
-names hold, and every module uses each name it imports."""
+names hold, every module uses each name it imports, and no line of the
+package is longer than 100 characters."""
 
 import ast
 import re
@@ -131,3 +132,11 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+def test_no_line_is_longer_than_100_characters():
+    long = [f"{path.relative_to(PACKAGE)}:{number}: {len(line)}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []
